@@ -26,7 +26,8 @@ report embeds the fully resolved config so a run can be reproduced
 bit for bit by feeding that object back as a config file.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-config error, 3 numerical failure.  CSV output is `t,u` with 17
+config error, 3 numerical failure (a right-hand side that does not
+evaluate included).  CSV output is `t,u` with 17
 significant digits and LF line endings; files are written atomically
 (temp file in the target directory, then rename).
 """
@@ -626,6 +627,11 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"fracode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except EvalError as exc:
+        # before ValueError, which it subclasses: an rhs that fails to
+        # evaluate is a numerical failure, not a usage error
+        print(f"fracode: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParseError, ValueError) as exc:
         print(f"fracode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -634,7 +640,6 @@ def run(argv: list[str] | None = None) -> int:
         NonBlowupError,
         AccuracyLossError,
         PoleError,
-        EvalError,
         OverflowError,
         FloatingPointError,
         ZeroDivisionError,

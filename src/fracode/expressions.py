@@ -14,7 +14,9 @@ into a solver run.  `match_power_law` recognizes A*u^p shapes exactly
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "Expr",
@@ -28,6 +30,7 @@ __all__ = [
     "EvalError",
     "parse",
     "evaluate",
+    "compile_expr",
     "to_str",
     "match_power_law",
     "lipschitz_probe",
@@ -136,9 +139,11 @@ def _lex(src: str) -> list[_Token]:
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"bad number literal {text!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {text!r} overflows", i)
             toks.append(_Token("num", text, i))
             i = j
             continue
@@ -325,6 +330,124 @@ def evaluate(e: Expr, t: float, u: float) -> float:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+class _Emitter:
+    """Straight-line Python source for one tree, one statement per node.
+
+    Values live in locals v0, v1, ... assigned in the post-order that
+    `evaluate` recurses in; literals, offsets and messages are bound
+    names k0, k1, ..., so no text from the tree reaches the source and
+    no expression in it nests.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.bound: dict[str, object] = {}
+        self.n_locals = 0
+
+    def bind(self, obj) -> str:
+        name = f"k{len(self.bound)}"
+        self.bound[name] = obj
+        return name
+
+    def assign(self, rhs: str, indent: str = "") -> str:
+        name = f"v{self.n_locals}"
+        self.n_locals += 1
+        self.lines.append(f"{indent}{name} = {rhs}")
+        return name
+
+    def fail(self, message: str, offset: int, indent: str, suffix: str = "") -> None:
+        self.lines.append(f"{indent}raise _E(*{self.bind((message, offset))}){suffix}")
+
+    def emit(self, e: Expr) -> str:
+        """Append the statements computing `e`; return the name holding it."""
+        if isinstance(e, Num):
+            return self.bind(e.value)
+        if isinstance(e, Var):
+            return "t" if e.name == "t" else "u"
+        if isinstance(e, Unary):
+            return self.assign(f"-{self.emit(e.arg)}")
+        if isinstance(e, Binary):
+            a = self.emit(e.left)
+            b = self.emit(e.right)
+            if e.op == "/":
+                self.lines.append(f"if {b} == 0.0:")
+                self.fail("division by zero", e.offset, "    ")
+            if e.op in ("+", "-", "*", "/"):
+                r = self.assign(f"{a} {e.op} {b}")
+            else:
+                r = self.assign(f"_pow({a}, {b}, {self.bind(e.offset)})")
+            self.check_finite(r, f"non-finite result from '{e.op}'", e.offset)
+            return r
+        if isinstance(e, Call) and len(e.args) == _FUNCTIONS.get(e.fn):
+            args = [self.emit(a) for a in e.args]
+            self.lines.append("try:")
+            if e.fn == "log":
+                self.lines.append(f"    if {args[0]} <= 0.0:")
+                self.fail("log of a nonpositive value", e.offset, "        ")
+            if e.fn == "pow":
+                r = self.assign(f"_pow({args[0]}, {args[1]}, {self.bind(e.offset)})", "    ")
+            else:
+                r = self.assign(f"_{e.fn}({', '.join(args)})", "    ")
+            self.lines.append("except _OverflowError:")
+            self.fail(f"overflow in {e.fn}", e.offset, "    ", " from None")
+            self.check_finite(r, f"non-finite result from {e.fn}", e.offset)
+            return r
+        # anything else (an unknown function or a wrong arity in a tree
+        # built by hand, a foreign object) goes through the tree walker
+        return self.assign(f"_evaluate({self.bind(e)}, t, u)")
+
+    def check_finite(self, name: str, message: str, offset: int) -> None:
+        self.lines.append(f"if not _isfinite({name}):")
+        self.fail(message, offset, "    ")
+
+
+# CPython interns the identifiers of every compiled function and drops
+# them again when the function dies; that churn makes its table of
+# interned strings grow by about 1 MiB over a corpus run.  Holding the
+# names the emitter uses most keeps them interned for good.
+_PINNED_NAMES = tuple(sys.intern(f"{kind}{i}") for kind in "kv" for i in range(128))
+
+_COMPILED_HELPERS = {
+    "_E": EvalError,
+    "_OverflowError": OverflowError,
+    "_pow": _pow,
+    "_isfinite": math.isfinite,
+    "_evaluate": evaluate,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": math.exp,
+    "_log": math.log,
+    "_abs": abs,
+    "_min": min,
+    "_max": max,
+}
+
+
+def compile_expr(e: Expr) -> Callable[[float, float], float]:
+    """Compile a tree into a straight-line function f(t, u).
+
+    The function runs the same operations as `evaluate(e, t, u)` in the
+    same order and raises the same EvalError messages and offsets, so
+    its results agree bit for bit; it only skips the per-node dispatch.
+    Compile once per tree and call many times; `evaluate` stays the
+    reference.
+    """
+    em = _Emitter()
+    result = em.emit(e)
+    params = ", ".join([*_COMPILED_HELPERS, *em.bound])
+    body = "\n".join(f"        {line}" for line in em.lines)
+    src = (
+        f"def _make({params}):\n"
+        f"    def rhs(t, u):\n"
+        f"{body}\n"
+        f"        return {result}\n"
+        f"    return rhs\n"
+    )
+    ns: dict = {}
+    exec(compile(src, "<fracode rhs>", "exec"), {"__builtins__": {}}, ns)
+    return ns["_make"](**_COMPILED_HELPERS, **em.bound)
+
+
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
         return _LBP[e.op]
@@ -486,14 +609,15 @@ def lipschitz_probe(
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
     du = max(1e-7 * (abs(u_lo) + abs(u_hi) + 1.0), 1e-9)
+    f = compile_expr(e)
     best = None
     for i in range(n):
         t = t_lo + (t_hi - t_lo) * (i / (n - 1) if n > 1 else 0.5)
         for j in range(n):
             u = u_lo + (u_hi - u_lo) * (j / (n - 1) if n > 1 else 0.5)
             try:
-                hi = evaluate(e, t, u + du)
-                lo = evaluate(e, t, u - du)
+                hi = f(t, u + du)
+                lo = f(t, u - du)
             except EvalError:
                 continue
             slope = abs(hi - lo) / (2.0 * du)

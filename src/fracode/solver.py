@@ -24,10 +24,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from fracode.expressions import EvalError, Expr, evaluate, match_power_law, parse
+from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
 from fracode.fracops import Mesh, SampledFn, _trapezoid_moments
 from fracode.specfun import gamma_fn
 
@@ -71,7 +72,9 @@ class FracProblem:
 
     The right-hand side is either an expression tree or a tagged power
     law (A, p); `from_rhs` auto-tags expressions that match A*u^p so
-    the asymptotic machinery sees the exact coefficients.
+    the asymptotic machinery sees the exact coefficients.  An untagged
+    expression is compiled once, on construction, and `f` calls the
+    compiled form.
     """
 
     gamma: float
@@ -80,6 +83,9 @@ class FracProblem:
     rhs: Expr | None = None
     A: float | None = None
     p: float | None = None
+    _rhs_fn: Callable[[float, float], float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -95,6 +101,12 @@ class FracProblem:
                 raise ValueError("power law needs finite A and p")
             if self.p != int(self.p) and not self.u0 > 0.0:
                 raise ValueError("power law with non-integer p needs u0 > 0")
+        else:
+            object.__setattr__(self, "_rhs_fn", compile_expr(self.rhs))
+
+    def __reduce__(self):
+        # the compiled function does not pickle; rebuild it on load
+        return (type(self), (self.gamma, self.u0, self.T, self.rhs, self.A, self.p))
 
     @classmethod
     def from_rhs(cls, gamma: float, rhs, u0: float, T: float) -> "FracProblem":
@@ -116,7 +128,7 @@ class FracProblem:
         """Evaluate the right-hand side; raises EvalError off-domain."""
         if self.A is not None:
             return self.A * _upow(u, self.p)
-        return evaluate(self.rhs, t, u)
+        return self._rhs_fn(t, u)
 
 
 def _upow(u: float, p: float) -> float:

@@ -36,10 +36,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from fracode.expressions import EvalError, Expr, evaluate, lipschitz_probe, parse, to_str
+from fracode.expressions import (  # noqa: F401 -- the benchmark trace binds verify.evaluate
+    EvalError,
+    Expr,
+    compile_expr,
+    evaluate,
+    lipschitz_probe,
+    parse,
+    to_str,
+)
 from fracode.fracops import (
     Mesh,
     SampledFn,
@@ -128,26 +137,45 @@ def _probe_lipschitz(expr: Expr, T: float, *value_arrays) -> float:
     return lipschitz_probe(expr, (0.0, T), (mid - half, mid + half))
 
 
+class _TwinPair(NamedTuple):
+    """One equation solved from two starts on a shared mesh."""
+
+    mesh: Mesh
+    nodes: np.ndarray  # the node prefix both paths resolved
+    va: np.ndarray
+    vb: np.ndarray
+    lipschitz: float  # probed over the inflated hull of both paths
+
+
+def _solve_twin_pair(
+    expr: Expr, gamma: float, u10: float, u20: float, T: float, n: int
+) -> _TwinPair:
+    mesh = _mesh_for(gamma, T, n)
+    a = solve(FracProblem.from_rhs(gamma, expr, u10, T), mesh)
+    b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
+    nodes, va, vb = _common_window(a, b)
+    lip = _probe_lipschitz(expr, T, va, vb)
+    if not math.isfinite(lip):
+        raise ValueError("right-hand side failed the Lipschitz probe")
+    return _TwinPair(mesh, nodes, va, vb, lip)
+
+
+def _comparison_report(pair: _TwinPair) -> ComparisonReport:
+    margins = pair.vb - pair.va
+    return ComparisonReport(
+        trials=1,
+        min_margin=float(margins.min()),
+        violations=int(np.count_nonzero(margins < VIOLATION_TOL)),
+    )
+
+
 def check_comparison(
     f, gamma: float, u10: float, u20: float, T: float = 1.0, n: int = 256
 ) -> ComparisonReport:
     """Solve twin initial values of one equation; report the ordering margin."""
     if not u10 <= u20:
         raise ValueError("comparison check expects u10 <= u20")
-    expr = _as_expr(f)
-    mesh = _mesh_for(gamma, T, n)
-    a = solve(FracProblem.from_rhs(gamma, expr, u10, T), mesh)
-    b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
-    _, va, vb = _common_window(a, b)
-    lip = _probe_lipschitz(expr, T, va, vb)
-    if not math.isfinite(lip):
-        raise ValueError("right-hand side failed the Lipschitz probe")
-    margins = vb - va
-    return ComparisonReport(
-        trials=1,
-        min_margin=float(margins.min()),
-        violations=int(np.count_nonzero(margins < VIOLATION_TOL)),
-    )
+    return _comparison_report(_solve_twin_pair(_as_expr(f), gamma, u10, u20, T, n))
 
 
 def check_subsupersolution(
@@ -173,11 +201,12 @@ def check_subsupersolution(
 
 
 def _require_nonnegative_forcing(d_expr: Expr, T: float, grid: int = 17):
+    forcing = compile_expr(d_expr)
     seen = False
     for t in np.linspace(0.0, T, grid):
         for u in np.linspace(-10.0, 10.0, grid):
             try:
-                val = evaluate(d_expr, float(t), float(u))
+                val = forcing(float(t), float(u))
             except EvalError:
                 continue
             seen = True
@@ -196,39 +225,38 @@ def stability_experiment(
     if u10 == u20:
         raise ValueError("stability experiment needs distinct initial values")
     expr = _as_expr(f)
-    mesh = _mesh_for(gamma, T, n)
-    a = solve(FracProblem.from_rhs(gamma, expr, u10, T), mesh)
-    b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
-    nodes, va, vb = _common_window(a, b)
-    gap0 = u20 - u10
+    pair = _solve_twin_pair(expr, gamma, u10, u20, T, n)
+    return _stability_report(expr, gamma, u20 - u10, pair)
+
+
+def _stability_report(
+    expr: Expr, gamma: float, gap0: float, pair: _TwinPair
+) -> StabilityReport:
+    nodes, va, vb = pair.nodes, pair.va, pair.vb
     diff = vb - va
     y = diff / gap0
     under = np.abs(diff) < 1e-13 * abs(gap0)
     under[0] = False  # y(0) = 1 by construction
     kept = ~under
 
-    lip = _probe_lipschitz(expr, T, va, vb)
-    if not math.isfinite(lip):
-        raise ValueError("right-hand side failed the Lipschitz probe")
-
     # v(s) = -(f(s,u2)-f(s,u1)) / ((u2-u1) Gamma(gamma)), 0 on underflow
+    rhs = compile_expr(expr)
     inv_g = 1.0 / gamma_fn(gamma)
     v = np.zeros_like(y)
     for i in range(nodes.size):
         if under[i]:
             continue
-        df = evaluate(expr, float(nodes[i]), float(vb[i])) - evaluate(
-            expr, float(nodes[i]), float(va[i])
-        )
+        df = rhs(float(nodes[i]), float(vb[i])) - rhs(float(nodes[i]), float(va[i]))
         v[i] = -df / diff[i] * inv_g
 
+    mesh = pair.mesh
     win_mesh = mesh if nodes.size == mesh.nodes.size else Mesh(nodes)
     conv = frac_integral(gamma, SampledFn(win_mesh, v * y)).values * gamma_fn(gamma)
     eq_residual = float(np.abs(y + conv - 1.0).max())
 
     # E_gamma is >= 1 on [0, inf), so only nodes with y > 1 can strain
     # the envelope; saturation to inf upstream reads as a pass
-    scale = lip * gamma_fn(gamma)
+    scale = pair.lipschitz * gamma_fn(gamma)
     envelope_ok = True
     for i in np.flatnonzero(kept & (y > 1.0)):
         env = mittag_leffler(MLQuery(alpha=gamma, z=scale * float(nodes[i]) ** gamma))
@@ -241,7 +269,7 @@ def stability_experiment(
         min_y=float(y[kept].min()),
         sup_ratio=float(np.abs(y[kept]).max()),
         ml_envelope_ok=envelope_ok,
-        lipschitz=lip,
+        lipschitz=pair.lipschitz,
         eq_residual=eq_residual,
         underflow_nodes=tuple(int(i) for i in np.flatnonzero(under)),
     )
@@ -407,13 +435,13 @@ def run_corpus(seed: int = CORPUS_SEED, trials: int = 100, n: int = 256) -> Corp
     min_margin = math.inf
     violations = 0
     for prob in corpus_problems(seed, trials):
+        # the corpus draws u10 < u20, so both checks accept the pair,
+        # and both reports derive from one solve of it
         try:
-            comp = check_comparison(
-                prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n
-            )
-            stab = stability_experiment(
-                prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n
-            )
+            expr = parse(prob.rhs)
+            pair = _solve_twin_pair(expr, prob.gamma, prob.u10, prob.u20, prob.T, n)
+            comp = _comparison_report(pair)
+            stab = _stability_report(expr, prob.gamma, prob.u20 - prob.u10, pair)
         except Exception as exc:
             raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
         min_margin = min(min_margin, comp.min_margin)

@@ -2,9 +2,9 @@
 
 Exit code map under test: 0 success, 1 failed verification check,
 2 usage/config error, 3 numerical failure.  Everything runs in-process
-through run() except one subprocess test that runs the
+through run() except two subprocess tests: one runs the
 [project.scripts] entry point of pyproject.toml through a generated
-console-script wrapper.
+console-script wrapper, the other runs `python -m fracode`.
 """
 
 import json
@@ -132,6 +132,14 @@ class TestSolveCommand:
         assert rc == 3
         # the partial path is still written for inspection
         assert (tmp_path / "trunc.csv").read_text().startswith("t,u\n")
+
+    def test_rhs_failing_at_initial_value_exits_3(self, cli):
+        # EvalError subclasses ValueError but is a numerical failure
+        rc, out, err = cli("solve", "--gamma", "0.5", "--rhs", "log(u)", "--u0", "0",
+                           "--n", "8")
+        assert rc == 3
+        assert out == ""
+        assert "numerical failure" in err and "log" in err
 
     def test_blowup_truncation_is_informative(self, cli):
         rc, out, _ = cli("solve", "--gamma", "0.5", "--rhs", "u^2", "--u0", "1",
@@ -477,6 +485,18 @@ class TestTopLevel:
         proc = subprocess.run(
             ["fracode", "ml", "--alpha", "1", "--beta", "1", "--z", "1"],
             capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2.718281828459045\n"
+
+    def test_python_dash_m(self, tmp_path):
+        srcdir = str(Path(fracode.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [srcdir, env.get("PYTHONPATH", "")] if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracode", "ml", "--alpha", "1", "--beta", "1", "--z", "1"],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2.718281828459045\n"

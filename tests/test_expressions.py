@@ -3,7 +3,9 @@
 Hand-checked evaluations, error offsets, canonical-print fixpoint, the
 power-law matcher, and a 1000-tree randomized comparison against an
 independent route: each tree is translated to fully parenthesized
-Python source and evaluated by the Python interpreter itself.
+Python source and evaluated by the Python interpreter itself.  The
+compiled form of every tree must match the tree walker `evaluate`
+exactly, values and errors alike.
 """
 
 import math
@@ -19,6 +21,7 @@ from fracode.expressions import (
     ParseError,
     Unary,
     Var,
+    compile_expr,
     evaluate,
     lipschitz_probe,
     match_power_law,
@@ -92,6 +95,17 @@ class TestParseErrors:
             parse("min(1, 2, 3)")
         with pytest.raises(ParseError, match="argument"):
             parse("sin(1, 2)")
+
+    @pytest.mark.parametrize("src, offset", [("1e999", 0), ("u + 2.5e400", 4), ("1e309*u", 0)])
+    def test_overflowing_literal(self, src, offset):
+        with pytest.raises(ParseError, match="overflows") as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    def test_largest_finite_literal_round_trips(self):
+        tree = parse("1.7976931348623157e308")
+        assert tree == Num(1.7976931348623157e308)
+        assert parse(to_str(tree)) == tree
 
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
@@ -217,17 +231,41 @@ def _pysrc(e) -> str:
     return f"{fn}({', '.join(_pysrc(a) for a in e.args)})"
 
 
+def _outcome(fn, t, u):
+    try:
+        return ("value", fn(t, u))
+    except EvalError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+def _assert_compiled_matches(tree, t, u) -> str:
+    # bit for bit on success (sign of zero included), the same message
+    # and offset on failure; returns which of the two it was
+    want = _outcome(lambda t, u: evaluate(tree, t, u), t, u)
+    got = _outcome(compile_expr(tree), t, u)
+    assert got == want
+    if want[0] == "value":
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
+    return want[0]
+
+
 class TestAgainstPythonInterpreter:
     def test_thousand_random_trees(self):
         rng = random.Random(20240917)
+        # a separate stream, so the trees drawn stay those of rng alone
+        wide = random.Random(20240918)
         ns = {"math": math, "abs": abs, "min": min, "max": max}
         checked = 0
+        outcomes = set()
         for _ in range(1000):
             tree = _random_tree(rng, 4)
             # printed form must round-trip structurally
             assert parse(to_str(tree)) == tree
             t = rng.uniform(0.2, 2.5)
             u = rng.uniform(0.2, 2.5)
+            u_wide = wide.uniform(-3.0, 3.0)
+            for uu in (u, u_wide):
+                outcomes.add(_assert_compiled_matches(tree, t, uu))
             try:
                 mine = evaluate(tree, t, u)
                 mine_err = False
@@ -249,6 +287,61 @@ class TestAgainstPythonInterpreter:
                 # errored or went non-finite somewhere inside
                 pass
         assert checked > 400
+        assert outcomes == {"value", "error"}
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "-" * 400 + "u",
+            "(" * 300 + "u + 1" + ")" * 300,
+            "sin(" * 150 + "u" + ")" * 150,
+            "1" + "+u" * 300,
+            "u" + "^1" * 300,
+        ],
+        ids=["minus-400", "parens-300", "sin-150", "sum-300", "power-300"],
+    )
+    def test_deep_trees(self, src):
+        # deeper than the 200 nested parentheses Python's parser accepts
+        tree = parse(src)
+        for u in (-0.0, 0.0, 0.5, -2.0):
+            _assert_compiled_matches(tree, 0.25, u)
+
+    @pytest.mark.parametrize(
+        "src, u",
+        [
+            ("log(u)", 0.0),
+            ("1 + log(u)", -1.0),
+            ("2 / (u - 1)", 1.0),
+            ("exp(u)", 1000.0),
+            ("pow(u, 3) * 1e300", 1e10),
+            ("u^0.5", -2.0),
+            ("u^(-1)", 0.0),
+            ("-u", 0.0),
+            ("min(-u, u)", 0.0),
+            ("max(u, -u)", 0.0),
+            ("abs(-u) * 0", -1.0),
+        ],
+    )
+    def test_compiled_edge_cases(self, src, u):
+        _assert_compiled_matches(parse(src), 0.5, u)
+
+    def test_compiled_trees_outside_the_grammar(self):
+        # shapes only a caller building nodes by hand can make
+        for tree in (
+            Num(math.inf),
+            Call("sin", (Num(math.inf),)),
+            Call("min", (Var("u"),)),
+            Call("hypot", (Var("u"), Num(2.0))),
+            Binary("^", Var("u"), Num(math.inf)),
+        ):
+            for u in (-2.0, 0.5):
+                try:
+                    want = evaluate(tree, 0.0, u)
+                except Exception as exc:
+                    with pytest.raises(type(exc)):
+                        compile_expr(tree)(0.0, u)
+                else:
+                    assert compile_expr(tree)(0.0, u) == want
 
 
 class TestPowerLawMatch:

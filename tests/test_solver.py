@@ -11,12 +11,15 @@ Reference values:
   (Gamma(3/2))^2 = pi/4 = 0.7853981633974483.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from fracode.expressions import EvalError, parse
+from fracode.expressions import EvalError, evaluate, parse
 from fracode.fracops import Mesh
 from fracode.solver import (
     FracProblem,
@@ -88,6 +91,34 @@ class TestFracProblem:
     def test_integer_power_allows_any_start(self):
         prob = FracProblem.power_law(0.5, 1.0, 2.0, -1.0, 1.0)
         assert prob.f(0.0, -3.0) == 9.0
+
+    def test_compiled_rhs_matches_tree_walker(self):
+        prob = FracProblem.from_rhs(0.5, "min(sin(t*u) - u^3, 2) / (1 + t)", 1.0, 1.0)
+        for t, u in [(0.0, 1.0), (0.3, -2.5), (0.9, 0.0)]:
+            assert prob.f(t, u) == evaluate(prob.rhs, t, u)
+        assert "rhs=" in repr(prob) and "_rhs_fn" not in repr(prob)
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [
+            lambda p: pickle.loads(pickle.dumps(p)),
+            copy.deepcopy,
+            copy.copy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "deepcopy", "copy", "replace"],
+    )
+    @pytest.mark.parametrize("rhs", ["sin(t) - u^3", "2*u^0.5"])
+    def test_copies_compare_hash_and_evaluate_equal(self, copy_of, rhs):
+        prob = FracProblem.from_rhs(0.5, rhs, 1.0, 1.0)
+        twin = copy_of(prob)
+        assert twin == prob
+        assert hash(twin) == hash(prob)
+        assert twin.f(0.25, 2.0) == prob.f(0.25, 2.0)
+        # a replaced start keeps evaluating through its own compiled rhs
+        moved = dataclasses.replace(twin, u0=2.0)
+        assert moved != prob
+        assert moved.f(0.25, 2.0) == prob.f(0.25, 2.0)
 
 
 class TestSolveExact:
