@@ -8,10 +8,14 @@ companion integral int_0^t s^{mu-1} g(s) ds.
 Both operators use product rules on arbitrary strictly increasing
 meshes: the integrand's smooth factor is replaced by its piecewise
 linear interpolant and the kernel moments are integrated exactly, so
-constants and linears are reproduced to roundoff.  History sums are
-direct O(N^2); at the desk scale (N up to a few times 2^13) that runs
-in seconds and keeps summation order fixed, hence bitwise
-deterministic results.
+constants and linears are reproduced to roundoff.  One kernel,
+`_trapezoid_moments`, gives the moments for `frac_integral` and for the
+solver's preallocated Volterra history; `caputo_l1` shares its
+power-difference helper.  The kernel works on array slices with no
+masks: every cell but the one ending at t_n goes through one shared
+log1p(h/y).  History sums are still direct O(N^2); at the desk scale
+(N up to a few times 2^13) that runs in seconds and keeps summation
+order fixed, hence bitwise deterministic results.
 """
 
 from __future__ import annotations
@@ -131,30 +135,37 @@ class SampledFn:
         return int(self.values.size)
 
 
-def _pow_diff(p: float, x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # x^p - y^p with x = y + h elementwise, x > y >= 0.  Forming the
-    # powers separately loses all digits when h << y (geometric tails),
-    # so route through expm1(p log1p(h/y)) wherever y > 0.
+def _pow_diff(p: float, y: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    # (y + h)^p - y^p for y > 0, given log_ratio = log1p(h/y).  Forming
+    # the powers separately loses all digits when h << y (geometric
+    # tails), so go through expm1(p log1p(h/y)).
+    return y**p * np.expm1(p * log_ratio)
+
+
+def _tip_pow_diff(p: float, x: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    # x^p - y^p on the cells of a mesh ending at its tip t_n, with
+    # x = t_n - t_j and y = t_n - t_{j+1}: y is x[1:] and then an exact
+    # 0.  The tip cell's x^p is raised as a length-1 array, so it rounds
+    # like the array loop (a numpy scalar power rounds differently).
     out = np.empty_like(x)
-    pos = y > 0.0
-    yp = y[pos]
-    out[pos] = yp**p * np.expm1(p * np.log1p(h[pos] / yp))
-    out[~pos] = x[~pos] ** p
+    out[:-1] = _pow_diff(p, x[1:], log_ratio)
+    out[-1:] = x[-1:] ** p
     return out
 
 
-def _trapezoid_moments(gamma: float, tn: float, t: np.ndarray):
+def _trapezoid_moments(gamma: float, tn: float, t: np.ndarray, h: np.ndarray | None = None):
     # Exact moments of the kernel (tn - s)^{gamma-1} against {1, s-t_j}
-    # on every cell [t_j, t_{j+1}] of t (which must end at tn).
-    # Returns (M0, M1_over_h, h).
+    # on every cell [t_j, t_{j+1}] of t (which must end at tn); h is
+    # np.diff(t) when the caller already has it.  Returns (M0, M1_over_h).
     x = tn - t[:-1]
-    y = tn - t[1:]
-    h = np.diff(t)
-    d0 = _pow_diff(gamma, x, y, h)
-    d1 = _pow_diff(gamma + 1.0, x, y, h)
+    if h is None:
+        h = np.diff(t)
+    log_ratio = np.log1p(h[:-1] / x[1:])
+    d0 = _tip_pow_diff(gamma, x, log_ratio)
+    d1 = _tip_pow_diff(gamma + 1.0, x, log_ratio)
     m0 = d0 / gamma
     m1 = (x * d0 / gamma - d1 / (gamma + 1.0)) / h
-    return m0, m1, h
+    return m0, m1
 
 
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
@@ -166,12 +177,13 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"frac_integral needs gamma in (0, 1), got {gamma!r}")
     t = g.mesh.nodes
+    h = np.diff(t)
     v = g.values
     n_nodes = t.size
     inv_g = 1.0 / gamma_fn(gamma)
     out = np.zeros(n_nodes)
     for n in range(1, n_nodes):
-        m0, m1, _ = _trapezoid_moments(gamma, t[n], t[: n + 1])
+        m0, m1 = _trapezoid_moments(gamma, t[n], t[: n + 1], h[:n])
         out[n] = inv_g * (np.dot(v[:n], m0 - m1) + np.dot(v[1 : n + 1], m1))
     return SampledFn(g.mesh, out)
 
@@ -196,8 +208,8 @@ def caputo_l1(gamma: float, u: SampledFn, u0: float) -> SampledFn:
     out = np.zeros(t.size)
     for n in range(1, t.size):
         x = t[n] - t[:n]
-        y = t[n] - t[1 : n + 1]
-        out[n] = inv_g2 * np.dot(slopes[:n], _pow_diff(q, x, y, h[:n]))
+        d = _tip_pow_diff(q, x, np.log1p(h[: n - 1] / x[1:]))
+        out[n] = inv_g2 * np.dot(slopes[:n], d)
     return SampledFn(u.mesh, out)
 
 
@@ -229,8 +241,10 @@ def power_weighted_integral(mu: float, g: SampledFn) -> SampledFn:
     a = t[:-1]
     b = t[1:]
     h = np.diff(t)
-    d0 = _pow_diff(mu, b, a, h)
-    d1 = _pow_diff(mu + 1.0, b, a, h)
+    # a = 0 on the first cell only, where b^p - a^p is b^p
+    log_ratio = np.log1p(h[1:] / a[1:])
+    d0 = np.concatenate((b[:1] ** mu, _pow_diff(mu, a[1:], log_ratio)))
+    d1 = np.concatenate((b[:1] ** (mu + 1.0), _pow_diff(mu + 1.0, a[1:], log_ratio)))
     n0 = d0 / mu
     n1 = (d1 / (mu + 1.0) - a * d0 / mu) / h
     cell = v[:-1] * (n0 - n1) + v[1:] * n1

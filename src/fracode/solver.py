@@ -7,9 +7,12 @@ Everything runs through the equivalent Volterra form
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
 corrector, fixed-point corrector sweeps that stop once the update
-stalls at roundoff (capped, no Newton).  History sums reuse the exact
-kernel moments from fracops, so the scheme is deterministic down to
-the bit for identical inputs.
+stalls at roundoff (capped, no Newton).  `solve` and both adaptive
+marches share one Volterra history, `_History`: preallocated numpy
+buffers of nodes, states and right-hand-side values that grow by
+doubling, handed to the exact kernel moments of fracops as slices.
+History sums stay direct O(N^2) in a fixed order, so the scheme is
+deterministic down to the bit for identical inputs.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
@@ -249,6 +252,88 @@ def _bracket_solve(f, tn, hist, w, x0, lo_limit=None):
     return 0.5 * (lo + hi), True
 
 
+_HISTORY_START = 1024  # buffer length of an adaptive march; doubles on demand
+
+
+class _History:
+    """The Volterra history of one march: nodes t, states u, slopes f(t, u).
+
+    numpy buffers hold the accepted nodes plus one trial slot and double
+    when full.  `weights(t_next)` writes a trial node into that slot and
+    returns the Adams coefficients for it; `accept(u, f)` keeps the node
+    of the last `weights` call.  Built on a fixed mesh (`nodes=`), the
+    buffers start full-size with the mesh's cell widths formed once,
+    `weights()` takes the next mesh node, and the cap is the mesh size.
+    The kernel sees slices of the buffers, never rebuilt arrays, and the
+    sums stay the direct O(N^2) ones in a fixed order.
+    """
+
+    def __init__(
+        self, gamma: float, u0: float, f0: float,
+        nodes: np.ndarray | None = None, cap: int = 200_000,
+    ):
+        self.gamma = gamma
+        self.u0 = u0
+        self.inv_g = 1.0 / gamma_fn(gamma)
+        if nodes is None:
+            self.cap = cap
+            self._t = np.zeros(_HISTORY_START)
+            self._h = np.empty(_HISTORY_START)
+        else:
+            self.cap = nodes.size
+            self._t = nodes
+            self._h = np.diff(nodes)
+        self._u = np.empty(self._t.size)
+        self._f = np.empty(self._t.size)
+        self._u[0] = u0
+        self._f[0] = f0
+        self.n = 1  # accepted nodes
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._t[: self.n]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u[: self.n]
+
+    def _grow(self):
+        for name in ("_t", "_h", "_u", "_f"):
+            old = getattr(self, name)
+            new = np.empty(2 * old.size)
+            new[: old.size] = old
+            setattr(self, name, new)
+
+    def weights(self, t_next: float | None = None):
+        """(predictor, corrector history, corrector weight) at t_next."""
+        n = self.n
+        if t_next is None:
+            t_next = self._t[n]
+        else:
+            if n == self._t.size:
+                self._grow()
+            self._t[n] = t_next
+            self._h[n - 1] = t_next - self._t[n - 1]
+        m0, m1h = _trapezoid_moments(self.gamma, t_next, self._t[: n + 1], self._h[:n])
+        fv = self._f[:n]
+        pred = self.u0 + self.inv_g * float(np.dot(fv, m0))
+        hist = self.u0 + self.inv_g * float(np.dot(fv, m0 - m1h))
+        if n > 1:
+            hist += self.inv_g * float(np.dot(fv[1:], m1h[: n - 1]))
+        w = self.inv_g * m1h[n - 1]
+        return pred, hist, w
+
+    def accept(self, u_next: float, f_next: float):
+        if self.n >= self.cap:
+            raise StepCollapseError("step budget exhausted", float(self._t[self.n - 1]))
+        self._u[self.n] = u_next
+        self._f[self.n] = f_next
+        self.n += 1
+
+    def path(self, status: PathStatus, iters: int) -> SolutionPath:
+        return SolutionPath(Mesh(self.t.copy()), self.u.copy(), iters, status)
+
+
 def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> SolutionPath:
     """March the Adams predictor-corrector across the given mesh.
 
@@ -259,25 +344,21 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
     """
     opts = opts or SolverOptions()
     t = mesh.nodes
-    n_nodes = t.size
-    inv_g = 1.0 / gamma_fn(prob.gamma)
-    u = np.empty(n_nodes)
-    fv = np.empty(n_nodes)
-    u[0] = prob.u0
-    fv[0] = prob.f(t[0], prob.u0)  # un-startable problems raise here
+    # un-startable problems raise here
+    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), nodes=t)
     iters = 0
 
-    def truncated(k: int, status: PathStatus) -> SolutionPath:
-        if k < 2:
+    def truncated(status: PathStatus) -> SolutionPath:
+        if hist.n < 2:
             raise EvalError("right-hand side failed on the first step", 0)
-        return SolutionPath(Mesh(t[:k].copy()), u[:k].copy(), iters, status)
+        return hist.path(status, iters)
 
-    def escape_status(k: int) -> PathStatus:
+    def escape_status() -> PathStatus:
         # for a superlinear power law the corrector loses its root
         # exactly when the singularity crowds the cell, so any escape
         # after growth reads as blow-up; anything else is an
         # evaluation failure
-        grew = abs(u[k - 1]) > 2.0 * abs(prob.u0) + 1.0
+        grew = abs(hist.u[-1]) > 2.0 * abs(prob.u0) + 1.0
         if prob.is_power_law and prob.A > 0 and prob.p > 1 and grew:
             return PathStatus.BLOWUP_SUSPECTED
         return PathStatus.EVALUATION_FAILURE
@@ -289,34 +370,30 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
         else None
     )
 
-    for n in range(1, n_nodes):
-        m0, m1h, _ = _trapezoid_moments(prob.gamma, t[n], t[: n + 1])
-        pred = prob.u0 + inv_g * float(np.dot(fv[:n], m0))
-        hist = prob.u0 + inv_g * float(np.dot(fv[:n], m0 - m1h))
-        if n > 1:
-            hist += inv_g * float(np.dot(fv[1:n], m1h[: n - 1]))
-        w = inv_g * m1h[n - 1]
+    for n in range(1, t.size):
+        pred, hval, w = hist.weights()
         try:
             x, used, diverging = _fixed_point_step(
-                prob.f, t[n], hist, w, pred, opts.corrector_sweeps
+                prob.f, t[n], hval, w, pred, opts.corrector_sweeps
             )
             iters += used
         except EvalError:
             x, diverging = pred, True
         if diverging:
-            x, ok = _bracket_solve(prob.f, t[n], hist, w, pred, lo_limit=lo_limit)
+            x, ok = _bracket_solve(prob.f, t[n], hval, w, pred, lo_limit=lo_limit)
             if not ok or not math.isfinite(x):
-                return truncated(n, escape_status(n))
+                return truncated(escape_status())
         if not math.isfinite(x) or abs(x) > 1e300:
-            return truncated(n, escape_status(n))
+            return truncated(escape_status())
         if opts.positivity_guard and x <= 0.0:
-            return truncated(n, PathStatus.EXTINCTION_SUSPECTED)
-        u[n] = x
+            return truncated(PathStatus.EXTINCTION_SUSPECTED)
         try:
-            fv[n] = prob.f(t[n], x)
+            fx = prob.f(t[n], x)
         except EvalError:
-            return truncated(n + 1, escape_status(n + 1))
-    return SolutionPath(mesh, u, iters, PathStatus.COMPLETED)
+            hist.accept(x, math.nan)  # keep the state; the march ends here
+            return truncated(escape_status())
+        hist.accept(x, fx)
+    return SolutionPath(mesh, hist.u, iters, PathStatus.COMPLETED)
 
 
 # --- adaptive power-law marches ---------------------------------------
@@ -343,41 +420,6 @@ class ExtinctionReport:
 def _require_power(prob: FracProblem, what: str):
     if not prob.is_power_law:
         raise ValueError(f"{what} needs a power-law right-hand side")
-
-
-class _History:
-    """Incremental Volterra history over a dynamically growing mesh."""
-
-    def __init__(self, gamma: float, u0: float, f0: float, cap: int = 200_000):
-        self.gamma = gamma
-        self.u0 = u0
-        self.inv_g = 1.0 / gamma_fn(gamma)
-        self.t = [0.0]
-        self.u = [u0]
-        self.fv = [f0]
-        self.cap = cap
-
-    def weights(self, t_next: float):
-        nodes = np.array(self.t + [t_next])
-        m0, m1h, _ = _trapezoid_moments(self.gamma, t_next, nodes)
-        fv = np.array(self.fv)
-        n = len(self.t)
-        pred = self.u0 + self.inv_g * float(np.dot(fv, m0))
-        hist = self.u0 + self.inv_g * float(np.dot(fv, m0 - m1h))
-        if n > 1:
-            hist += self.inv_g * float(np.dot(fv[1:], m1h[: n - 1]))
-        w = self.inv_g * m1h[n - 1]
-        return pred, hist, w
-
-    def accept(self, t_next: float, u_next: float, f_next: float):
-        if len(self.t) >= self.cap:
-            raise StepCollapseError("step budget exhausted", self.t[-1])
-        self.t.append(t_next)
-        self.u.append(u_next)
-        self.fv.append(f_next)
-
-    def path(self, status: PathStatus, iters: int) -> SolutionPath:
-        return SolutionPath(Mesh(np.array(self.t)), np.array(self.u), iters, status)
 
 
 def _growth_step(gamma: float, absA: float, p: float, u: float, eta: float) -> float:
@@ -457,7 +499,7 @@ def detect_blowup(
                             raise EvalError("corrector lost its root", 0)
                     if not math.isfinite(x) or x <= 0.0:
                         raise EvalError("state escaped", 0)
-                    hist.accept(t_next, x, prob.f(t_next, x))
+                    hist.accept(x, prob.f(t_next, x))
                     accepted = True
                     break
                 except EvalError:
@@ -550,44 +592,48 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
             raise StepCollapseError("stalled away from zero", t_n)
         while True:
             t_next = t_n + h
-            pred, hval, w = hist.weights(t_next)
+            _, hval, w = hist.weights(t_next)
+            wA = w * A  # w * A * x evaluates as (w * A) * x
             # phi(x) = x - hval - w A x^p dips to a minimum at x_star;
             # phi(x_star) > 0 means no root: the path hit zero inside
             # this step
             x_star = (w * absA * abs(p)) ** (1.0 / (1.0 - p))
-            phi_min = x_star - hval - w * A * _upow(x_star, p)
+            phi_min = x_star - hval - wA * _upow(x_star, p)
             if phi_min > 0.0:
                 if h > floor * 4.0 and h > 1e-12 * max(t_n, bound):
                     h *= 0.5  # localize the touch further
                     continue
                 touch = t_next
                 break
-            hi = max(2.0 * x_star, u_n)
-            phi_hi = hi - hval - w * A * _upow(hi, p)
-            grow = 0
-            while phi_hi < 0.0 and grow < 200:
-                hi *= 2.0
-                phi_hi = hi - hval - w * A * _upow(hi, p)
-                grow += 1
-            lo, flo = x_star, phi_min
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                fm = mid - hval - w * A * _upow(mid, p)
-                iters += 1
-                if fm == 0.0:
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
+            # the bracket (x_star, hi) is positive, so the powers need
+            # none of _upow's domain checks, only its overflow mapping
+            try:
+                hi = max(2.0 * x_star, u_n)
+                phi_hi = hi - hval - wA * math.pow(hi, p)
+                grow = 0
+                while phi_hi < 0.0 and grow < 200:
+                    hi *= 2.0
+                    phi_hi = hi - hval - wA * math.pow(hi, p)
+                    grow += 1
+                lo, flo = x_star, phi_min
+                for _ in range(90):
+                    mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:
+                        break
+                    fm = mid - hval - wA * math.pow(mid, p)
+                    iters += 1
+                    if fm == 0.0:
+                        break
+                    if flo * fm < 0.0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fm
+            except OverflowError:
+                raise EvalError("overflow in power law", 0) from None
             x = 0.5 * (lo + hi)
+            hist.accept(x, prob.f(t_next, x))
             if x <= eps_touch:
                 touch = t_next
-                hist.accept(t_next, x, prob.f(t_next, x))
-                break
-            hist.accept(t_next, x, prob.f(t_next, x))
             break
         h_prev = h
 

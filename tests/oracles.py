@@ -7,11 +7,19 @@ with the gamma arguments formed in arbitrary-precision arithmetic
 implementation under test is at fault).  It returns None where the
 term count would be astronomical; those regions are covered by
 closed-form identities instead (erfcx anchors, exp, cos/cosh).
+
+The Volterra-kernel references keep the masked moments and the
+list-based history weights that the solver used before its history
+became one preallocated engine; the engine must reproduce them bit
+for bit.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
+
+from fracode.specfun import gamma_fn
 
 
 def ml_reference(alpha: float, beta: float, z: float, feasible_n: int = 4000):
@@ -41,3 +49,43 @@ def ml_reference(alpha: float, beta: float, z: float, feasible_n: int = 4000):
                 break
             zp *= zz
         return float(s)
+
+
+# --- Volterra-kernel references
+
+
+def pow_diff_masked(p, x, y, h):
+    """x^p - y^p with x = y + h, x > y >= 0, picking the y > 0 cells by mask."""
+    out = np.empty_like(x)
+    pos = y > 0.0
+    yp = y[pos]
+    out[pos] = yp**p * np.expm1(p * np.log1p(h[pos] / yp))
+    out[~pos] = x[~pos] ** p
+    return out
+
+
+def trapezoid_moments_masked(gamma, tn, t):
+    """(M0, M1/h) of the kernel (tn - s)^{gamma-1} on every cell of t."""
+    x = tn - t[:-1]
+    y = tn - t[1:]
+    h = np.diff(t)
+    d0 = pow_diff_masked(gamma, x, y, h)
+    d1 = pow_diff_masked(gamma + 1.0, x, y, h)
+    m0 = d0 / gamma
+    m1 = (x * d0 / gamma - d1 / (gamma + 1.0)) / h
+    return m0, m1
+
+
+def list_history_weights(gamma, u0, t, fv, t_next):
+    """Adams (predictor, history, weight) at t_next from Python lists."""
+    inv_g = 1.0 / gamma_fn(gamma)
+    nodes = np.array(t + [t_next])
+    m0, m1h = trapezoid_moments_masked(gamma, t_next, nodes)
+    fv = np.array(fv)
+    n = len(t)
+    pred = u0 + inv_g * float(np.dot(fv, m0))
+    hist = u0 + inv_g * float(np.dot(fv, m0 - m1h))
+    if n > 1:
+        hist += inv_g * float(np.dot(fv[1:], m1h[: n - 1]))
+    w = inv_g * m1h[n - 1]
+    return pred, hist, w

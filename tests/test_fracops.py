@@ -3,7 +3,9 @@
 Closed-form anchors (monomials are exact for product rules up to the
 interpolation degree), semigroup/round-trip refinement checks against
 scipy-computed references, and hypothesis properties for linearity and
-kernel positivity.
+kernel positivity.  The moments kernel and the operators built on it
+are checked bit for bit against the masked reference kernel in
+oracles.py, at every step of several meshes and orders.
 """
 
 import math
@@ -15,15 +17,19 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pow_diff_masked, trapezoid_moments_masked
+
 from fracode.fracops import (
     Mesh,
     SampledFn,
+    _trapezoid_moments,
     caputo_l1,
     default_grading,
     frac_integral,
     group_roundtrip,
     power_weighted_integral,
 )
+from fracode.specfun import gamma_fn
 
 # 1/Gamma(1.5) and 1/Gamma(2.5), frozen from scipy.special.gamma
 J_HALF_OF_ONE_AT_1 = 1.1283791670955126
@@ -313,3 +319,76 @@ class TestProperties:
         u = SampledFn(mesh, np.sort(np.linspace(0.0, 1.0, len(mesh)) ** 2))
         out = caputo_l1(0.6, u, u0=0.0).values
         assert np.all(out >= -1e-15)
+
+
+ORACLE_GAMMAS = (0.1, 0.5, 0.77, 0.95)
+
+
+def oracle_meshes(gamma, n=96):
+    # thin_far: cells of 1e-9 next to 0, seen from t_n ~ 1 (h << y), and
+    # a last cell of 1e-12, so the tip cell's x is tiny too
+    thin = np.concatenate(
+        ([0.0], 1e-9 * np.arange(1, 9), np.linspace(1e-3, 1.0, n // 2), [1.0 + 1e-12])
+    )
+    return {
+        "uniform": Mesh.uniform(1.0, n),
+        "graded4": Mesh.graded(1.0, n, 4.0),
+        "graded_2_over_g": Mesh.graded(1.0, n, default_grading(gamma)),
+        "geometric": Mesh.geometric(50.0, n, 1e-6),
+        "one_cell": Mesh.uniform(1.0, 1),
+        "thin_far": Mesh(thin),
+    }
+
+
+def _oracle_cases():
+    for g in ORACLE_GAMMAS:
+        for kind, mesh in oracle_meshes(g).items():
+            yield pytest.param(g, mesh, id=f"{g}-{kind}")
+
+
+class TestMomentsMatchMaskedOracle:
+    """The mask-free kernel reproduces the masked one bit for bit.
+
+    Every step index is checked, so the tip cell (y = 0, raised as a
+    length-1 array) is compared at every n, and the one-cell mesh has an
+    empty set of y > 0 cells.
+    """
+
+    @pytest.mark.parametrize("gamma,mesh", list(_oracle_cases()))
+    def test_moments_every_step(self, gamma, mesh):
+        t = mesh.nodes
+        h = np.diff(t)
+        for n in range(1, t.size):
+            ref = trapezoid_moments_masked(gamma, t[n], t[: n + 1])
+            for got in (
+                _trapezoid_moments(gamma, t[n], t[: n + 1]),
+                _trapezoid_moments(gamma, float(t[n]), t[: n + 1], h[:n]),
+            ):
+                assert np.array_equal(got[0], ref[0]), n
+                assert np.array_equal(got[1], ref[1]), n
+
+    @pytest.mark.parametrize("gamma,mesh", list(_oracle_cases()))
+    def test_operators(self, gamma, mesh):
+        t = mesh.nodes
+        h = np.diff(t)
+        v = np.cos(7.0 * t) + t
+        g = SampledFn(mesh, v)
+        jint = np.zeros(t.size)
+        l1 = np.zeros(t.size)
+        slopes = np.diff(np.concatenate(([1.0], v[1:]))) / h
+        for n in range(1, t.size):
+            m0, m1 = trapezoid_moments_masked(gamma, t[n], t[: n + 1])
+            jint[n] = (1.0 / gamma_fn(gamma)) * (
+                np.dot(v[:n], m0 - m1) + np.dot(v[1 : n + 1], m1)
+            )
+            d = pow_diff_masked(1.0 - gamma, t[n] - t[:n], t[n] - t[1 : n + 1], h[:n])
+            l1[n] = (1.0 / gamma_fn(2.0 - gamma)) * np.dot(slopes[:n], d)
+        assert np.array_equal(frac_integral(gamma, g).values, jint)
+        assert np.array_equal(caputo_l1(gamma, g, 1.0).values, l1)
+        a, b = t[:-1], t[1:]
+        d0 = pow_diff_masked(gamma, b, a, h)
+        d1 = pow_diff_masked(gamma + 1.0, b, a, h)
+        n1 = (d1 / (gamma + 1.0) - a * d0 / gamma) / h
+        cell = v[:-1] * (d0 / gamma - n1) + v[1:] * n1
+        pwi = np.concatenate(([0.0], np.cumsum(cell)))
+        assert np.array_equal(power_weighted_integral(gamma, g).values, pwi)

@@ -9,6 +9,9 @@ Reference values:
   1/sqrt(pi) = 0.5641895835477563, gap exponent 1/2.
   Extinction bound of D^{1/2} u = -1/u, u0 = 1:
   (Gamma(3/2))^2 = pi/4 = 0.7853981633974483.
+
+The Volterra history engine is checked bit for bit against the
+list-based weights in oracles.py.
 """
 
 import copy
@@ -18,7 +21,9 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles import list_history_weights
 
+from fracode import solver
 from fracode.expressions import EvalError, evaluate, parse
 from fracode.fracops import Mesh
 from fracode.solver import (
@@ -26,6 +31,8 @@ from fracode.solver import (
     NonBlowupError,
     PathStatus,
     SolverOptions,
+    StepCollapseError,
+    _History,
     detect_blowup,
     detect_extinction,
     solve,
@@ -371,3 +378,70 @@ class TestDetectExtinction:
             detect_extinction(FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="power-law"):
             detect_extinction(FracProblem.from_rhs(0.5, "-sin(u)", 1.0, 1.0))
+
+
+class TestHistoryEngine:
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
+    def test_march_across_reallocations_matches_list_oracle(self, gamma, monkeypatch):
+        monkeypatch.setattr(solver, "_HISTORY_START", 4)
+        u0, f0 = 1.0, -0.5
+        hist = _History(gamma, u0, f0)
+        t, fv = [0.0], [f0]
+        for k in range(1, 41):
+            # irregular steps, each one first tried 4x too long (a
+            # rejected trial node must leave no trace)
+            h = 1e-3 * (1.0 + (k * 7919 % 13)) * 1.1**k
+            for t_next in (t[-1] + 4.0 * h, t[-1] + h):
+                got = hist.weights(t_next)
+                assert got == list_history_weights(gamma, u0, t, fv, t_next), k
+            x = got[1] + got[2] * math.sin(k)
+            hist.accept(x, math.cos(x))
+            t.append(t_next)
+            fv.append(math.cos(x))
+        assert hist._t.size == 64  # grew 4 -> 8 -> 16 -> 32 -> 64
+        assert np.array_equal(hist.t, t)
+
+    @pytest.mark.parametrize(
+        "mesh", [Mesh.graded(1.0, 64, 4.0), Mesh.geometric(10.0, 64, 1e-5), Mesh.uniform(1.0, 1)]
+    )
+    def test_preloaded_mesh_matches_list_oracle(self, mesh):
+        gamma, u0, f0 = 0.37, 2.0, 0.25
+        hist = _History(gamma, u0, f0, nodes=mesh.nodes)
+        t = mesh.nodes.tolist()
+        fv = [f0]
+        for n in range(1, len(t)):
+            assert hist.weights() == list_history_weights(gamma, u0, t[:n], fv, t[n]), n
+            hist.accept(float(n), -float(n))
+            fv.append(-float(n))
+        assert hist.cap == len(t)
+
+    def test_accept_at_cap_raises_with_last_accepted_time(self):
+        hist = _History(0.5, 1.0, -1.0, cap=3)
+        for t_next in (0.1, 0.25):
+            hist.weights(t_next)
+            hist.accept(0.9, -0.9)
+        hist.weights(0.5)
+        with pytest.raises(StepCollapseError, match="budget") as info:
+            hist.accept(0.8, -0.8)
+        assert type(info.value.last_time) is float
+        assert info.value.last_time == 0.25
+        assert hist.n == 3
+
+    def test_path_returns_copies(self, monkeypatch):
+        monkeypatch.setattr(solver, "_HISTORY_START", 4)
+        hist = _History(0.5, 1.0, -1.0)
+        for k in range(1, 3):
+            hist.weights(0.1 * k)
+            hist.accept(1.0 - 0.1 * k, -1.0)
+        path = hist.path(PathStatus.COMPLETED, 7)
+        nodes, values = path.mesh.nodes.copy(), path.values.copy()
+        hist._t[:] = -1.0  # overwrite the live buffers in place
+        hist._u[:] = -1.0
+        assert np.array_equal(path.mesh.nodes, nodes)
+        assert np.array_equal(path.values, values)
+        for k in range(3, 20):  # and march on across reallocations
+            hist.weights(0.1 * k)
+            hist.accept(-5.0, -5.0)
+        assert np.array_equal(path.mesh.nodes, nodes)
+        assert np.array_equal(path.values, values)
+        assert path.corrector_iterations == 7
