@@ -62,7 +62,7 @@ from fracode.verify import (
     CORPUS_SEED,
     check_comparison,
     check_resolvent,
-    corpus_problems,
+    corpus_reports,
     stability_experiment,
 )
 
@@ -525,76 +525,28 @@ def _run_verify(eff: dict) -> int:
         )
         return EXIT_OK if ok else EXIT_VERIFICATION
 
-    probs = corpus_problems(eff["seed"], eff["trials"])
-    records = []
+    # looked up per call, so a rebound module attribute takes effect
+    check = check_comparison if mode == "comparison" else stability_experiment
+    results = corpus_reports(check, eff["seed"], eff["trials"], eff["n"])
     if mode == "comparison":
-        min_margin, violations = math.inf, 0
-        for prob in probs:
-            try:
-                rep = check_comparison(
-                    prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=eff["n"]
-                )
-            except Exception as exc:
-                raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
-            min_margin = min(min_margin, rep.min_margin)
-            violations += rep.violations
-            records.append(
-                {
-                    "index": prob.index,
-                    "gamma": prob.gamma,
-                    "rhs": prob.rhs,
-                    "u10": prob.u10,
-                    "u20": prob.u20,
-                    "min_margin": rep.min_margin,
-                    "violations": rep.violations,
-                }
-            )
+        fields = ("min_margin", "violations")
+        min_margin = min([math.inf] + [rep.min_margin for _, rep in results])
+        violations = sum(rep.violations for _, rep in results)
         ok = violations == 0
-        _emit_report(
-            eff,
-            {
-                "pass": ok,
-                "trials": eff["trials"],
-                "min_margin": min_margin,
-                "violations": violations,
-                "records": records,
-            },
-        )
-        return EXIT_OK if ok else EXIT_VERIFICATION
-
-    min_y, envelopes_ok = math.inf, True
-    for prob in probs:
-        try:
-            rep = stability_experiment(
-                prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=eff["n"]
-            )
-        except Exception as exc:
-            raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
-        min_y = min(min_y, rep.min_y)
-        envelopes_ok = envelopes_ok and rep.ml_envelope_ok
-        records.append(
-            {
-                "index": prob.index,
-                "gamma": prob.gamma,
-                "rhs": prob.rhs,
-                "u10": prob.u10,
-                "u20": prob.u20,
-                "min_y": rep.min_y,
-                "sup_ratio": rep.sup_ratio,
-                "ml_envelope_ok": rep.ml_envelope_ok,
-                "lipschitz": rep.lipschitz,
-            }
-        )
-    ok = min_y > 0.0 and envelopes_ok
+        summary = {"min_margin": min_margin, "violations": violations}
+    else:
+        fields = ("min_y", "sup_ratio", "ml_envelope_ok", "lipschitz")
+        min_y = min([math.inf] + [rep.min_y for _, rep in results])
+        envelopes_ok = all(rep.ml_envelope_ok for _, rep in results)
+        ok = min_y > 0.0 and envelopes_ok
+        summary = {"min_y": min_y, "all_envelopes_ok": envelopes_ok}
+    records = [
+        {key: getattr(prob, key) for key in ("index", "gamma", "rhs", "u10", "u20")}
+        | {key: getattr(rep, key) for key in fields}
+        for prob, rep in results
+    ]
     _emit_report(
-        eff,
-        {
-            "pass": ok,
-            "trials": eff["trials"],
-            "min_y": min_y,
-            "all_envelopes_ok": envelopes_ok,
-            "records": records,
-        },
+        eff, {"pass": ok, "trials": eff["trials"], **summary, "records": records}
     )
     return EXIT_OK if ok else EXIT_VERIFICATION
 

@@ -19,7 +19,9 @@ right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
 into its singularity with growth-limited geometrically shrinking steps
 and fits the blow-up time and strength; `detect_extinction` (A<0, p<0)
 follows the decay until the corrector equation loses its positive root,
-which is the discrete signature of the solution touching 0.
+which is the discrete signature of the solution touching 0.  The
+corrector's bracket fallback and extinction's per-step root search
+share one bisection, `_bisect`.
 """
 
 from __future__ import annotations
@@ -233,10 +235,20 @@ def _bracket_solve(f, tn, hist, w, x0, lo_limit=None):
         return x0, False
     if flo is None or flo * fhi > 0.0:
         return x0, False
+    return _bisect(phi, lo, flo, hi)[0], True
+
+
+def _bisect(phi, lo, flo, hi):
+    # bisect phi on a bracket with phi(lo) = flo of the other sign than
+    # phi(hi) (or phi(hi) undefined), down to adjacent doubles; returns
+    # (root, evaluations).  An exact zero returns its midpoint; a
+    # midpoint where phi raises EvalError moves hi there
+    evals = 0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
+        evals += 1
         try:
             fmid = phi(mid)
         except EvalError:
@@ -244,12 +256,12 @@ def _bracket_solve(f, tn, hist, w, x0, lo_limit=None):
             hi = mid
             continue
         if fmid == 0.0:
-            return mid, True
+            return mid, evals
         if flo * fmid < 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi), True
+    return 0.5 * (lo + hi), evals
 
 
 _HISTORY_START = 1024  # buffer length of an adaptive march; doubles on demand
@@ -568,8 +580,8 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
     if eps_touch is None:
         eps_touch = 1e-6 * u0
 
-    bound = (u0 ** (1.0 - p) * gamma_fn(1.0 + gamma) / abs(A)) ** (1.0 / gamma)
     absA = abs(A)
+    bound = _growth_step(gamma, absA, p, u0, 1.0)
     hist = _History(gamma, u0, prob.f(0.0, u0))
     iters = 0
     eta = 0.05
@@ -585,7 +597,7 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                 break
             # u only decreases, so |A| u^p only grows below u_n; freezing
             # it there bounds the remaining drain time from t_n
-            drain = (u_n ** (1.0 - p) * gamma_fn(1.0 + gamma) / absA) ** (1.0 / gamma)
+            drain = _growth_step(gamma, absA, p, u_n, 1.0)
             if u_n <= 0.5 * u0 and drain <= 1e-6 * max(t_n, bound):
                 touch = t_n + drain
                 break
@@ -607,30 +619,21 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                 break
             # the bracket (x_star, hi) is positive, so the powers need
             # none of _upow's domain checks, only its overflow mapping
+            def phi(x):
+                return x - hval - wA * math.pow(x, p)
+
             try:
                 hi = max(2.0 * x_star, u_n)
-                phi_hi = hi - hval - wA * math.pow(hi, p)
+                phi_hi = phi(hi)
                 grow = 0
                 while phi_hi < 0.0 and grow < 200:
                     hi *= 2.0
-                    phi_hi = hi - hval - wA * math.pow(hi, p)
+                    phi_hi = phi(hi)
                     grow += 1
-                lo, flo = x_star, phi_min
-                for _ in range(90):
-                    mid = 0.5 * (lo + hi)
-                    if mid == lo or mid == hi:
-                        break
-                    fm = mid - hval - wA * math.pow(mid, p)
-                    iters += 1
-                    if fm == 0.0:
-                        break
-                    if flo * fm < 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
+                x, evals = _bisect(phi, x_star, phi_min, hi)
             except OverflowError:
                 raise EvalError("overflow in power law", 0) from None
-            x = 0.5 * (lo + hi)
+            iters += evals
             hist.accept(x, prob.f(t_next, x))
             if x <= eps_touch:
                 touch = t_next

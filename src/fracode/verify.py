@@ -29,7 +29,9 @@ The random corpus pairs each check with reproducible problem data:
 degree <= 3 polynomials in (t, u) with coefficients in [-2, 2],
 optionally composed with sin or a clipped exp, then value-clipped so
 that |u| <= |u0| + cap * T^gamma / Gamma(1+gamma) <= 10 holds for every
-trajectory regardless of the drawn coefficients.
+trajectory regardless of the drawn coefficients.  `corpus_reports` is
+the one loop over it: `run_corpus` and the CLI's corpus modes run
+their checks through it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ __all__ = [
     "stability_experiment",
     "max_principle_defect",
     "corpus_problems",
+    "corpus_reports",
     "run_corpus",
 ]
 
@@ -160,8 +163,7 @@ def _solve_twin_pair(
     return _TwinPair(mesh, nodes, va, vb, lip)
 
 
-def _comparison_report(pair: _TwinPair) -> ComparisonReport:
-    margins = pair.vb - pair.va
+def _margin_report(margins: np.ndarray) -> ComparisonReport:
     return ComparisonReport(
         trials=1,
         min_margin=float(margins.min()),
@@ -175,7 +177,8 @@ def check_comparison(
     """Solve twin initial values of one equation; report the ordering margin."""
     if not u10 <= u20:
         raise ValueError("comparison check expects u10 <= u20")
-    return _comparison_report(_solve_twin_pair(_as_expr(f), gamma, u10, u20, T, n))
+    pair = _solve_twin_pair(_as_expr(f), gamma, u10, u20, T, n)
+    return _margin_report(pair.vb - pair.va)
 
 
 def check_subsupersolution(
@@ -192,12 +195,7 @@ def check_subsupersolution(
     _, va, vb = _common_window(a, b)
     # the shared start pins node 0 at margin 0; report the margin the
     # forcing actually produces, over t > 0
-    margins = (vb - va)[1:]
-    return ComparisonReport(
-        trials=1,
-        min_margin=float(margins.min()),
-        violations=int(np.count_nonzero(margins < VIOLATION_TOL)),
-    )
+    return _margin_report((vb - va)[1:])
 
 
 def _require_nonnegative_forcing(d_expr: Expr, T: float, grid: int = 17):
@@ -429,21 +427,40 @@ def corpus_problems(seed: int = CORPUS_SEED, trials: int = 100) -> tuple[CorpusP
     return tuple(out)
 
 
+def corpus_reports(
+    check, seed: int = CORPUS_SEED, trials: int = 100, n: int = 256
+) -> list[tuple[CorpusProblem, object]]:
+    """Run `check(rhs, gamma, u10, u20, T=, n=)` on each corpus problem.
+
+    Returns (problem, report) pairs in corpus order; a trial that raises
+    surfaces as RuntimeError("corpus trial k failed: ...").
+    """
+    out = []
+    for prob in corpus_problems(seed, trials):
+        try:
+            rep = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
+        except Exception as exc:
+            raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
+        out.append((prob, rep))
+    return out
+
+
+def _comparison_and_stability(
+    f, gamma: float, u10: float, u20: float, T: float, n: int
+) -> tuple[ComparisonReport, StabilityReport]:
+    # the corpus draws u10 < u20, so both checks accept the pair, and
+    # both reports derive from one solve of it
+    expr = _as_expr(f)
+    pair = _solve_twin_pair(expr, gamma, u10, u20, T, n)
+    return _margin_report(pair.vb - pair.va), _stability_report(expr, gamma, u20 - u10, pair)
+
+
 def run_corpus(seed: int = CORPUS_SEED, trials: int = 100, n: int = 256) -> CorpusReport:
     """Comparison plus stability across the seeded corpus."""
     records = []
     min_margin = math.inf
     violations = 0
-    for prob in corpus_problems(seed, trials):
-        # the corpus draws u10 < u20, so both checks accept the pair,
-        # and both reports derive from one solve of it
-        try:
-            expr = parse(prob.rhs)
-            pair = _solve_twin_pair(expr, prob.gamma, prob.u10, prob.u20, prob.T, n)
-            comp = _comparison_report(pair)
-            stab = _stability_report(expr, prob.gamma, prob.u20 - prob.u10, pair)
-        except Exception as exc:
-            raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
+    for prob, (comp, stab) in corpus_reports(_comparison_and_stability, seed, trials, n):
         min_margin = min(min_margin, comp.min_margin)
         violations += comp.violations
         records.append(

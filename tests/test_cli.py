@@ -7,6 +7,7 @@ through run() except two subprocess tests: one runs the
 console-script wrapper, the other runs `python -m fracode`.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from fracode.cli import run
 from fracode.fracops import Mesh, default_grading
 from fracode.solver import FracProblem
 from fracode.solver import solve as lib_solve
-from fracode.verify import CORPUS_SEED
+from fracode.verify import CORPUS_SEED, TrialRecord, run_corpus
 
 PI_OVER_4 = 0.7853981633974483
 INV_SQRT_PI = 0.5641895835477563
@@ -447,6 +448,58 @@ class TestVerifyCommand:
     def test_report_file_matches_stdout(self, cli, tmp_path):
         rc, out, _ = cli("verify", "resolvent", "--n", "256", "--out", "r.json")
         assert (tmp_path / "r.json").read_text() == out
+
+    def test_corpus_modes_agree_with_run_corpus(self, cli):
+        lib = run_corpus(seed=CORPUS_SEED, trials=6, n=64)
+        trial_fields = {f.name for f in dataclasses.fields(TrialRecord)}
+        problem_fields = {"index", "gamma", "rhs", "u10", "u20"}
+        expected = {
+            "comparison": problem_fields | {"min_margin", "violations"},
+            "stability": problem_fields | {"min_y", "ml_envelope_ok"},
+        }
+        reports = {}
+        for mode, shared in expected.items():
+            rc, out, _ = cli("verify", mode, "--trials", "6", "--n", "64")
+            assert rc == 0
+            reports[mode] = rep = json.loads(out)
+            assert len(rep["records"]) == len(lib.records) == 6
+            for rec, trial in zip(rep["records"], lib.records):
+                assert set(rec) & trial_fields == shared
+                for key in shared:
+                    assert rec[key] == getattr(trial, key), (mode, trial.index, key)
+        assert reports["comparison"]["min_margin"] == lib.comparison.min_margin
+        assert reports["comparison"]["violations"] == lib.comparison.violations
+        assert reports["stability"]["min_y"] == lib.min_y
+        assert reports["stability"]["all_envelopes_ok"] is lib.all_envelopes_ok
+
+    def test_comparison_report_replays_as_config(self, cli, tmp_path):
+        rc, out, _ = cli("verify", "comparison", "--trials", "4", "--n", "64")
+        (tmp_path / "report.json").write_text(out)
+        rc2, out2, _ = cli("--config", "report.json")
+        assert rc == rc2 == 0
+        assert out2 == out
+
+    @pytest.mark.parametrize(
+        "mode,check", [("comparison", "check_comparison"), ("stability", "stability_experiment")]
+    )
+    def test_failing_trial_exits_3_and_names_it(self, cli, monkeypatch, mode, check):
+        # the check is looked up on the cli module at run time, so a
+        # rebound attribute (the benchmark tracer's wrappers) is what runs
+        original = getattr(fracode.cli, check)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracode.cli, check, flaky)
+        rc, out, err = cli("verify", mode, "--trials", "4", "--n", "32")
+        assert rc == 3
+        assert out == ""
+        assert "corpus trial 2 failed: injected" in err
+        assert len(calls) == 3
 
 
 class TestTopLevel:

@@ -371,6 +371,22 @@ class TestDetectExtinction:
         assert 0.0 < report.touch_time < bound
         assert np.all(np.diff(report.path.values) < 0.0)
 
+    def test_iterations_count_the_bisection_evaluations(self, monkeypatch):
+        # every corrector iteration of the march is one evaluation in the
+        # shared bisection
+        evals = []
+
+        def counting(*args):
+            root, n = bisect(*args)
+            evals.append(n)
+            return root, n
+
+        bisect = solver._bisect
+        monkeypatch.setattr(solver, "_bisect", counting)
+        report = detect_extinction(FracProblem.power_law(0.8, -0.5, -2.0, 0.7, 1.0))
+        assert len(evals) == report.path.values.size - 1
+        assert report.path.corrector_iterations == sum(evals) > 0
+
     def test_rejects_problems_without_extinction_shape(self):
         with pytest.raises(ValueError):
             detect_extinction(FracProblem.power_law(0.5, 1.0, -1.0, 1.0, 1.0))
@@ -378,6 +394,48 @@ class TestDetectExtinction:
             detect_extinction(FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="power-law"):
             detect_extinction(FracProblem.from_rhs(0.5, "-sin(u)", 1.0, 1.0))
+
+
+class TestBisect:
+    @staticmethod
+    def recording(phi):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return phi(x)
+
+        return wrapped, calls
+
+    def test_exact_zero_returns_the_midpoint(self):
+        phi, calls = self.recording(lambda x: x - 0.5)
+        assert solver._bisect(phi, 0.0, -0.5, 1.0) == (0.5, 1)
+        assert calls == [0.5]
+
+    def test_evaluation_error_shrinks_hi(self):
+        def phi(x):
+            if x > 0.3:
+                raise EvalError("outside the domain", 0)
+            return x - 0.2
+
+        phi, calls = self.recording(phi)
+        root, evals = solver._bisect(phi, 0.0, -0.2, 1.0)
+        assert calls[:2] == [0.5, 0.25]  # 0.5 failed, so hi moved there
+        assert abs(root - 0.2) <= 2.0 * math.ulp(0.2)
+        assert evals == len(calls)
+
+    def test_counts_every_evaluation_down_to_adjacent_doubles(self):
+        phi, calls = self.recording(lambda x: x**3 - 2.0)
+        root, evals = solver._bisect(phi, 1.0, -1.0, 2.0)
+        assert evals == len(calls) == len(set(calls))
+        assert 50 <= evals <= 54  # [1, 2] holds 2^52 doubles
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * math.ulp(root)
+
+    def test_bracket_solve_finds_the_stiff_linear_root(self):
+        # x = 1 + 0.1 * (-200 x) has the root 1/21; the fixed point diverges
+        x, ok = solver._bracket_solve(lambda t, u: -200.0 * u, 0.5, 1.0, 0.1, 1.0)
+        assert ok
+        assert abs(x - 1.0 / 21.0) <= 4.0 * math.ulp(1.0 / 21.0)
 
 
 class TestHistoryEngine:

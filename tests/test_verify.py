@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracode import verify
 from fracode.expressions import parse
 from fracode.fracops import Mesh, SampledFn, default_grading
 from fracode.solver import FracProblem, solve
@@ -30,6 +31,7 @@ from fracode.verify import (
     check_resolvent,
     check_subsupersolution,
     corpus_problems,
+    corpus_reports,
     max_principle_defect,
     run_corpus,
     stability_experiment,
@@ -297,6 +299,29 @@ class TestCorpus:
             assert (r.u10, r.u20) == (p.u10, p.u20)
             assert r.min_margin >= VIOLATION_TOL
             assert r.min_y > 0.0
+
+    def test_corpus_reports_pairs_problems_with_check_results(self):
+        got = corpus_reports(lambda *a, **k: (a, k), seed=5, trials=3, n=17)
+        assert [prob for prob, _ in got] == list(corpus_problems(5, 3))
+        for prob, (args, kwargs) in got:
+            assert args == (prob.rhs, prob.gamma, prob.u10, prob.u20)
+            assert kwargs == {"T": prob.T, "n": 17}
+
+    def test_failing_trial_names_its_index(self, monkeypatch):
+        original = verify._solve_twin_pair
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(verify, "_solve_twin_pair", flaky)
+        with pytest.raises(RuntimeError, match=r"^corpus trial 2 failed: injected$") as info:
+            run_corpus(trials=4, n=32)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert len(calls) == 3
 
     def test_aggregate_matches_records(self):
         rep = run_corpus(seed=11, trials=6, n=64)
