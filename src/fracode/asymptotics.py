@@ -25,7 +25,7 @@ import numpy as np
 
 from fracode.specfun import (
     AccuracyLossError,
-    _adaptive_simpson,
+    _panel_quad,
     beta_fn,
     gamma_fn,
     log_gamma,
@@ -174,10 +174,10 @@ class EnvelopeParams:
 def _c1_constant(gamma: float) -> float:
     # (gamma/B(1+gamma,1-gamma)) * int_0^1 tau^{gamma-1} (2-tau)^{-gamma} dtau
     # substitute tau = sigma^{1/gamma}: integrand becomes smooth
-    def f(sigma: float) -> float:
+    def f(sigma):
         return (2.0 - sigma ** (1.0 / gamma)) ** (-gamma)
 
-    val, ok = _adaptive_simpson(f, 0.0, 1.0, 1e-10)
+    val, ok = _panel_quad(f, 0.0, 1.0, 1e-10)
     if not ok:
         raise AccuracyLossError("C1 quadrature did not meet tolerance")
     return val / beta_fn(1.0 + gamma, 1.0 - gamma)
@@ -188,12 +188,12 @@ def _c2_constant(p: float, gamma: float) -> float:
     # with q = gamma/(1-p); substitute 1-tau = sigma^{1/(1-gamma)}
     q = gamma / (1.0 - p)
 
-    def f(sigma: float) -> float:
+    def f(sigma):
         tau = 1.0 - sigma ** (1.0 / (1.0 - gamma))
         return tau ** (q - 1.0)
 
     upper = 0.5 ** (1.0 - gamma)
-    val, ok = _adaptive_simpson(f, 0.0, upper, 1e-10)
+    val, ok = _panel_quad(f, 0.0, upper, 1e-10)
     if not ok:
         raise AccuracyLossError("C2 quadrature did not meet tolerance")
     return val * gamma / ((1.0 - p) * (1.0 - gamma) * gamma_fn(1.0 - gamma))

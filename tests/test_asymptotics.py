@@ -23,6 +23,7 @@ The blow-up strength constant at p = 2, gamma = 1/2 reduces to
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -224,6 +225,25 @@ class TestEnvelopeConstants:
         # in the normalization, leaving gamma/((1-p) Gamma(1-gamma))
         want = raw * gamma / ((1.0 - p) * scipy.special.gamma(1.0 - gamma))
         assert abs(_c2_constant(p, gamma) - want) / want < 1e-8
+
+    # the panel quadrature meets its 1e-10 tolerance to within twice that;
+    # mpmath's incomplete Beta integral needs no substitution
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_c1_against_incomplete_beta(self, gamma):
+        # tau = 2u maps the C1 integral onto int_0^{1/2} u^{g-1} (1-u)^{-g} du
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            want = g * mpmath.betainc(g, 1 - g, 0, 0.5) / mpmath.beta(1 + g, 1 - g)
+        assert _c1_constant(gamma) == pytest.approx(float(want), rel=2e-10)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_c2_against_incomplete_beta(self, p, gamma):
+        with mpmath.workdps(30):
+            g, pp = mpmath.mpf(gamma), mpmath.mpf(p)
+            raw = mpmath.betainc(g / (1 - pp), 1 - g, 0.5, 1)
+            want = g * raw / ((1 - pp) * mpmath.gamma(1 - g))
+        assert _c2_constant(p, gamma) == pytest.approx(float(want), rel=2e-10)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_c1_sits_in_unit_interval(self, gamma):

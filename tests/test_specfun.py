@@ -13,8 +13,12 @@ from fracode.specfun import (
     MLQuery,
     PoleError,
     ResolventQuery,
-    _adaptive_simpson,
     _ml,
+    _ml_cut_integral,
+    _ml_exp_pair,
+    _ml_kummer_neg,
+    _ml_series,
+    _panel_quad,
     beta_fn,
     gamma_fn,
     log_gamma,
@@ -291,17 +295,89 @@ class TestMittagLeffler:
         v = mittag_leffler(MLQuery(alpha, beta, z))
         assert v == pytest.approx(ref, abs=5e-11, rel=5e-11)
 
+    def test_series_estimate_counts_inherited_rounding(self):
+        # the largest terms here are ~4e3 and their Gamma arguments carry
+        # rounding, so the sum is off by ~1e-10 and must say so
+        alpha, beta, z = 0.29569305354579534, 1.0812398671252064, -2.0
+        v, est, converged = _ml_series(alpha, beta, z)
+        assert converged
+        assert abs(v - ml_reference(alpha, beta, z)) <= est
 
-class TestAdaptiveSimpson:
+    def test_series_fallthrough_regression(self):
+        # the series sum is 1.6e-10 off here; once its estimate says so,
+        # the cut integral answers instead
+        alpha, beta, z = 0.29569305354579534, 1.0812398671252064, -2.0
+        v = mittag_leffler(MLQuery(alpha, beta, z))
+        assert v == pytest.approx(ml_reference(alpha, beta, z), abs=5e-11, rel=5e-11)
+
+
+def _cut_density_reference(alpha, beta, x):
+    """mpmath quadrature of the branch-cut density integral for E(-x).
+
+    r = v^k with k = 2/(1+alpha-beta) turns the r^(alpha-beta) endpoint
+    power into a smooth one, and the pieces split at the density peak
+    r = x^(1/alpha).
+    """
+    with mpmath.workdps(20):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        sb, sab, ca = mpmath.sinpi(b), mpmath.sinpi(a - b), mpmath.cospi(a)
+
+        def f(r):
+            den = r ** (2 * a) + 2 * x * r**a * ca + x**2
+            return mpmath.exp(-r) * r ** (a - b) * (r**a * sb - x * sab) / den
+
+        k = 2 / (1 + a - b)
+        peak = x ** (1 / a)
+        head_pts = [0, peak ** (1 / k), 1] if peak < 1 else [0, 1]
+        head = mpmath.quad(lambda v: f(v**k) * k * v ** (k - 1), head_pts)
+        tail_pts = [1, peak, mpmath.inf] if 1 < peak < 200 else [1, mpmath.inf]
+        return float((head + mpmath.quad(f, tail_pts)) / mpmath.pi)
+
+
+class TestCutIntegral:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 1.5])
+    @pytest.mark.parametrize("same_beta", [True, False], ids=["beta=alpha", "beta=1"])
+    def test_against_mpmath(self, alpha, same_beta):
+        beta = alpha if same_beta else 1.0
+        for x in (0.5, 2.0, 8.0, 20.0):
+            v, est = _ml_cut_integral(alpha, beta, x)
+            ref = _cut_density_reference(alpha, beta, x)
+            if alpha > 1.0:
+                # the residue pair is added by the caller on both sides
+                pair = _ml_exp_pair(alpha, beta, x)
+                v, ref = v + pair, ref + pair
+            assert abs(v - ref) <= 1e-12 * abs(ref), (x, v, ref)
+            assert abs(v - ref) <= est, (x, v, ref, est)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 3.0, 7.0])
+    def test_kummer_against_mpmath(self, beta):
+        # E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta)
+        for z in (-0.5, -3.0, -20.0):
+            v, est = _ml_kummer_neg(beta, z)
+            with mpmath.workdps(30):
+                ref = float(mpmath.hyp1f1(1, beta, z) / mpmath.gamma(beta))
+            assert abs(v - ref) <= 1e-12 * abs(ref), (z, v, ref)
+            assert abs(v - ref) <= est, (z, v, ref, est)
+
+
+class TestPanelQuadrature:
     def test_smooth(self):
-        v, ok = _adaptive_simpson(math.sin, 0.0, math.pi, 1e-13)
+        v, ok = _panel_quad(np.sin, 0.0, math.pi, 1e-13)
         assert ok and v == pytest.approx(2.0, rel=1e-12)
 
     def test_reports_failure(self):
-        # interior algebraic singularity starves the refinement budget
-        f = lambda x: abs(x - 1.0 / 3.0) ** -0.9
-        v, ok = _adaptive_simpson(f, 0.0, 1.0, 1e-14, max_depth=12)
+        # interior algebraic singularity starves the panel budget
+        f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.9
+        v, ok = _panel_quad(f, 0.0, 1.0, 1e-14, max_panels=64)
         assert not ok
+
+    def test_narrow_peak_closes_at_roundoff(self):
+        # the peak's panels carry ~1e7 of mass, so their estimates sit at
+        # roundoff far above the absolute tol; a width-proportional share
+        # alone bisects them until the budget runs out
+        eps = 1e-7
+        v, ok = _panel_quad(lambda x: 1.0 / (x**2 + eps**2), 0.0, 1.0, 1e-14, 200)
+        assert ok and v == pytest.approx(math.atan(1.0 / eps) / eps, rel=1e-13)
 
     def test_accuracy_loss_error_carries_estimate(self):
         err = AccuracyLossError("no strategy converged", 3e-7)
