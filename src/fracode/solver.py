@@ -273,30 +273,21 @@ class _History:
     numpy buffers hold the accepted nodes plus one trial slot and double
     when full.  `weights(t_next)` writes a trial node into that slot and
     returns the Adams coefficients for it; `accept(u, f)` keeps the node
-    of the last `weights` call.  Built on a fixed mesh (`nodes=`), the
-    buffers start full-size with the mesh's cell widths formed once,
-    `weights()` takes the next mesh node, and the cap is the mesh size.
+    of the last `weights` call, up to `cap` nodes.  `solve` marches a
+    fixed mesh the same way, node by node, with the mesh size as cap.
     The kernel sees slices of the buffers, never rebuilt arrays, and the
     sums stay the direct O(N^2) ones in a fixed order.
     """
 
-    def __init__(
-        self, gamma: float, u0: float, f0: float,
-        nodes: np.ndarray | None = None, cap: int = 200_000,
-    ):
+    def __init__(self, gamma: float, u0: float, f0: float, cap: int = 200_000):
         self.gamma = gamma
         self.u0 = u0
         self.inv_g = 1.0 / gamma_fn(gamma)
-        if nodes is None:
-            self.cap = cap
-            self._t = np.zeros(_HISTORY_START)
-            self._h = np.empty(_HISTORY_START)
-        else:
-            self.cap = nodes.size
-            self._t = nodes
-            self._h = np.diff(nodes)
-        self._u = np.empty(self._t.size)
-        self._f = np.empty(self._t.size)
+        self.cap = cap
+        self._t = np.zeros(_HISTORY_START)
+        self._h = np.empty(_HISTORY_START)
+        self._u = np.empty(_HISTORY_START)
+        self._f = np.empty(_HISTORY_START)
         self._u[0] = u0
         self._f[0] = f0
         self.n = 1  # accepted nodes
@@ -316,16 +307,13 @@ class _History:
             new[: old.size] = old
             setattr(self, name, new)
 
-    def weights(self, t_next: float | None = None):
+    def weights(self, t_next: float):
         """(predictor, corrector history, corrector weight) at t_next."""
         n = self.n
-        if t_next is None:
-            t_next = self._t[n]
-        else:
-            if n == self._t.size:
-                self._grow()
-            self._t[n] = t_next
-            self._h[n - 1] = t_next - self._t[n - 1]
+        if n == self._t.size:
+            self._grow()
+        self._t[n] = t_next
+        self._h[n - 1] = t_next - self._t[n - 1]
         m0, m1h = _trapezoid_moments(self.gamma, t_next, self._t[: n + 1], self._h[:n])
         fv = self._f[:n]
         pred = self.u0 + self.inv_g * float(np.dot(fv, m0))
@@ -357,7 +345,7 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
     opts = opts or SolverOptions()
     t = mesh.nodes
     # un-startable problems raise here
-    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), nodes=t)
+    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), cap=t.size)
     iters = 0
 
     def truncated(status: PathStatus) -> SolutionPath:
@@ -383,7 +371,7 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
     )
 
     for n in range(1, t.size):
-        pred, hval, w = hist.weights()
+        pred, hval, w = hist.weights(t[n])
         try:
             x, used, diverging = _fixed_point_step(
                 prob.f, t[n], hval, w, pred, opts.corrector_sweeps

@@ -13,11 +13,12 @@ evaluates the integrand once per round on the nodes of every open panel.
 The Mittag-Leffler evaluator switches between four strategies so the
 whole real axis stays usable: Taylor series where roundoff cancellation
 is provably small, the algebraic asymptotic expansion at large negative
-arguments (optimal truncation), exponential leading terms at large
-positive arguments (and the conjugate residue pair for alpha > 1), and
-a spectral integral over the branch-cut density for the mid-range gap
-where neither expansion attains tolerance.  Every evaluation can report
-an error estimate alongside the value.
+arguments (optimal truncation, plus the conjugate residue pair for
+alpha > 1), one exponential leading term plus that algebraic tail at
+large positive arguments (for alpha < 2 it is the only pole on the
+principal sheet), and a spectral integral over the branch-cut density
+for the mid-range gap where neither expansion attains tolerance.  Every
+evaluation can report an error estimate alongside the value.
 """
 
 from __future__ import annotations
@@ -426,23 +427,6 @@ def _ml_kummer_neg(beta: float, z: float):
     return rg * i, est
 
 
-def _ml_pos_log_series(alpha: float, beta: float, z: float, w: float):
-    # z > 0 with all-positive terms too large for plain float powers:
-    # sum exp(n log z - log Gamma(alpha n + beta)) directly
-    lz = math.log(z)
-    nstar = max(4.0, (w - beta) / alpha)
-    nmax = int(nstar + 12.0 * math.sqrt(nstar)) + 64
-    s = 0.0
-    n = 0
-    while n <= nmax:
-        t = math.exp(n * lz - log_gamma(alpha * n + beta))
-        s += t
-        if n > nstar and t <= EPS * s:
-            return s, EPS * s * (w + 8.0), True
-        n += 1
-    return s, EPS * s * (w + 8.0), False
-
-
 def _ml(alpha: float, beta: float, z: float):
     # full dispatcher; returns (value, err_est)
     if z == 0.0:
@@ -500,8 +484,10 @@ def _ml(alpha: float, beta: float, z: float):
         return (v2 - rg) / z, (e2 + EPS * (abs(rg) + abs(v2 - rg))) / x
 
     # z > 0: the Taylor terms are all positive (no cancellation), so the
-    # series is trusted whenever affordable; past that the exponential
-    # leading term takes over
+    # series is trusted whenever affordable.  Past that, for alpha < 2
+    # only the pole s = w of s^(alpha-beta) / (s^alpha - z) lies on the
+    # principal sheet, so one exponential term plus the algebraic tail
+    # is the whole expansion
     w = z ** (1.0 / alpha)
     if w <= 130.0:
         v, e, converged = _ml_series(
@@ -509,23 +495,18 @@ def _ml(alpha: float, beta: float, z: float):
         )
         if converged:
             return v, e
-    if w <= 500.0:
-        v, e, converged = _ml_pos_log_series(alpha, beta, z, w)
-        if converged:
-            return v, e
-    lead_log = w + (1.0 - beta) * math.log(z) / alpha - math.log(alpha)
+    lz = math.log(z)
+    lead_log = w + (1.0 - beta) * lz / alpha - math.log(alpha)
     if lead_log > _EXP_MAX:
         # saturates IEEE-style; est is inf to flag the saturation
         return math.inf, math.inf
     lead = math.exp(lead_log)
-    if alpha > 1.0:
-        # second exponential branch rotated by 2 pi / alpha
-        r2 = complex(
-            w * math.cos(2.0 * math.pi / alpha), w * math.sin(2.0 * math.pi / alpha)
-        )
-        lead += (2.0 / alpha) * (cmath.exp(r2) * r2 ** (1.0 - beta)).real
     tail, te = _ml_asymptotic(alpha, beta, z)
-    return lead + tail, te + 4.0 * EPS * abs(lead)
+    # exp() turns an absolute exponent error into a relative one: the
+    # rounding of 1/alpha moves w by EPS w |log z| / alpha, the power
+    # itself by EPS w, and the sum lead_log by EPS |lead_log|
+    rel = EPS * (w * (1.0 + abs(lz) / alpha) + abs(lead_log) + 4.0)
+    return lead + tail, te + rel * lead
 
 
 def mittag_leffler(q: MLQuery) -> float:

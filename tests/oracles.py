@@ -33,7 +33,8 @@ def ml_reference(alpha: float, beta: float, z: float, feasible_n: int = 4000):
             alpha * nstar + beta
         )
     else:
-        logmax = az ** (1.0 / alpha)
+        # all terms positive: no cancellation to survive
+        logmax = 0.0
     dps = int(max(0.0, logmax) / math.log(10)) + 40
     nmax = int(3 * nstar) + 600
     with mp.workdps(dps):
@@ -44,8 +45,10 @@ def ml_reference(alpha: float, beta: float, z: float, feasible_n: int = 4000):
         b = mp.mpf(beta)
         lim = mp.mpf(10) ** (-(dps - 8))
         for n in range(nmax):
-            s += zp / mp.gamma(a * n + b)
-            if n > nstar and abs(zp) / mp.gamma(a * n + b) < lim:
+            t = zp / mp.gamma(a * n + b)
+            s += t
+            # relative for z > 0, where the sum grows like exp(z^(1/alpha))
+            if n > nstar and abs(t) < (lim * s if z > 0 else lim):
                 break
             zp *= zz
         return float(s)

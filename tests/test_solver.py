@@ -462,16 +462,19 @@ class TestHistoryEngine:
     @pytest.mark.parametrize(
         "mesh", [Mesh.graded(1.0, 64, 4.0), Mesh.geometric(10.0, 64, 1e-5), Mesh.uniform(1.0, 1)]
     )
-    def test_preloaded_mesh_matches_list_oracle(self, mesh):
+    def test_mesh_march_matches_list_oracle(self, mesh, monkeypatch):
+        # the node-by-node march `solve` makes, with buffers that grow
+        monkeypatch.setattr(solver, "_HISTORY_START", 8)
         gamma, u0, f0 = 0.37, 2.0, 0.25
-        hist = _History(gamma, u0, f0, nodes=mesh.nodes)
+        hist = _History(gamma, u0, f0, cap=mesh.nodes.size)
         t = mesh.nodes.tolist()
         fv = [f0]
         for n in range(1, len(t)):
-            assert hist.weights() == list_history_weights(gamma, u0, t[:n], fv, t[n]), n
+            got = hist.weights(mesh.nodes[n])
+            assert got == list_history_weights(gamma, u0, t[:n], fv, t[n]), n
             hist.accept(float(n), -float(n))
             fv.append(-float(n))
-        assert hist.cap == len(t)
+        assert np.array_equal(hist.t, mesh.nodes)
 
     def test_accept_at_cap_raises_with_last_accepted_time(self):
         hist = _History(0.5, 1.0, -1.0, cap=3)

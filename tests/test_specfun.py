@@ -277,7 +277,8 @@ class TestMittagLeffler:
         assert math.isinf(v) and math.isinf(est)
 
     def test_large_positive_exponential_regime(self):
-        # E_1(x) = e^x keeps holding through the log-series window
+        # w = 16^2 = 256 is past the Taylor gate: one exponential term
+        # plus the algebraic tail answers
         v = mittag_leffler(MLQuery(0.5, 1.0, 16.0))
         # E_{1/2}(x) = e^{x^2} erfc(-x) -> 2 e^{x^2} - erfcx(x)
         ref = 2.0 * math.exp(256.0) - float(sps.erfcx(16.0))
@@ -309,6 +310,47 @@ class TestMittagLeffler:
         alpha, beta, z = 0.29569305354579534, 1.0812398671252064, -2.0
         v = mittag_leffler(MLQuery(alpha, beta, z))
         assert v == pytest.approx(ml_reference(alpha, beta, z), abs=5e-11, rel=5e-11)
+
+
+def _alpha_above_one_grid():
+    # (alpha, beta, z) at z = w^alpha; w > 130 is past the Taylor gate
+    for alpha in (1.001, 1.01, 1.05, 1.2, 1.5, 1.9):
+        for beta in (0.5, 1.0, alpha, 2.0):
+            for w in (60.0, 150.0, 300.0, 600.0):
+                yield alpha, beta, w**alpha
+
+
+class TestPositiveExponential:
+    """z > 0 past the Taylor series: the lead exp(w) w^(1-beta) / alpha
+    with w = z^(1/alpha), plus the algebraic tail of the z < 0 expansion."""
+
+    def test_regression_alpha_just_above_one(self):
+        # a second exponential term from the pole at angle 2 pi / alpha
+        # once put this value 58 % high; for alpha < 2 that pole is off
+        # the principal sheet
+        v = mittag_leffler(MLQuery(1.01, 1.0, 639.6))
+        assert v == pytest.approx(ml_reference(1.01, 1.0, 639.6), rel=1e-12)
+
+    def test_alpha_above_one_grid(self):
+        for alpha, beta, z in _alpha_above_one_grid():
+            v = mittag_leffler(MLQuery(alpha, beta, z))
+            assert v == pytest.approx(ml_reference(alpha, beta, z), rel=1e-12), (
+                alpha, beta, z,
+            )
+
+    def test_estimate_bounds_error(self):
+        # every point past the Taylor gate, the former log-series window
+        # w in (130, 500] at small alpha among them, and (0.194, 0.194,
+        # 2.5) at w = 111, where z^n overflows before the series converges
+        pts = [(a, b, z) for a, b, z in _alpha_above_one_grid() if z ** (1 / a) > 130]
+        for alpha in (0.3833333333333333, 0.7):
+            for beta in (alpha, 1.0, 2.0):
+                pts += [(alpha, beta, w**alpha) for w in (140.0, 300.0, 480.0)]
+        a1, a2 = 0.19444444444444445, 0.3833333333333333
+        pts += [(a1, a1, 2.5), (a2, a2, 10.0)]
+        for alpha, beta, z in pts:
+            v, est = mittag_leffler_with_error(MLQuery(alpha, beta, z))
+            assert abs(v - ml_reference(alpha, beta, z)) <= est, (alpha, beta, z)
 
 
 def _cut_density_reference(alpha, beta, x):
