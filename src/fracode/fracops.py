@@ -8,20 +8,20 @@ companion integral int_0^t s^{mu-1} g(s) ds.
 Both operators use product rules on arbitrary strictly increasing
 meshes: the integrand's smooth factor is replaced by its piecewise
 linear interpolant and the kernel moments are integrated exactly, so
-constants and linears are reproduced to roundoff.  One kernel,
-`_trapezoid_moments`, gives the moments for `frac_integral` and for the
-solver's preallocated Volterra history; `caputo_l1` shares its
-power-difference helper.  The kernel works on array slices with no
-masks: every cell but the one ending at t_n goes through one shared
-log1p(h/y).  History sums are still direct O(N^2); at the desk scale
-(N up to a few times 2^13) that runs in seconds and keeps summation
-order fixed, hence bitwise deterministic results.
+constants and linears are reproduced to roundoff.  `caputo_l1` and
+the solver's Volterra history (which `frac_integral` runs with u0 = 0)
+share one kernel, `_trapezoid_moments`: three transcendental passes
+per cell, log1p(h/y), P = y^gamma and d0 = P expm1(gamma log1p(h/y))
+with y = t_n - t_{j+1} > 0, since x^(gamma+1) - y^(gamma+1) = x d0 + h P
+gives the first moment; the tip cell (y = 0) is one scalar power.
+History sums are still direct O(N^2); at the desk scale (N up to a
+few times 2^13) that runs in seconds and keeps summation order fixed,
+hence bitwise deterministic results.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,37 +135,24 @@ class SampledFn:
         return int(self.values.size)
 
 
-def _pow_diff(p: float, y: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    # (y + h)^p - y^p for y > 0, given log_ratio = log1p(h/y).  Forming
-    # the powers separately loses all digits when h << y (geometric
-    # tails), so go through expm1(p log1p(h/y)).
-    return y**p * np.expm1(p * log_ratio)
-
-
-def _tip_pow_diff(p: float, x: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    # x^p - y^p on the cells of a mesh ending at its tip t_n, with
-    # x = t_n - t_j and y = t_n - t_{j+1}: y is x[1:] and then an exact
-    # 0.  The tip cell's x^p is raised as a length-1 array, so it rounds
-    # like the array loop (a numpy scalar power rounds differently).
-    out = np.empty_like(x)
-    out[:-1] = _pow_diff(p, x[1:], log_ratio)
-    out[-1:] = x[-1:] ** p
-    return out
+def _pow_diff(p: float, y: np.ndarray, h: np.ndarray):
+    # (y^p, (y + h)^p - y^p) for y > 0.  Forming the powers separately
+    # loses all digits when h << y (geometric tails), so the difference
+    # goes through expm1(p log1p(h/y)).
+    yp = y**p
+    return yp, yp * np.expm1(p * np.log1p(h / y))
 
 
 def _trapezoid_moments(gamma: float, tn: float, t: np.ndarray, h: np.ndarray | None = None):
-    # Exact moments of the kernel (tn - s)^{gamma-1} against {1, s-t_j}
-    # on every cell [t_j, t_{j+1}] of t (which must end at tn); h is
-    # np.diff(t) when the caller already has it.  Returns (M0, M1_over_h).
-    x = tn - t[:-1]
+    # The kernel (tn - s)^{gamma-1} on the cells [t_j, t_{j+1}] of t
+    # (ending at tn; h is np.diff(t) if the caller has it).  Returns
+    # d0 = x^gamma - y^gamma and P = y^gamma, x = tn - t_j, y = tn - t_{j+1},
+    # on every cell but the last, and that tip cell's h^gamma.  Moments:
+    # M0 = d0/gamma and M1 = x d0/(gamma(gamma+1)) - h P/(gamma+1).
     if h is None:
         h = np.diff(t)
-    log_ratio = np.log1p(h[:-1] / x[1:])
-    d0 = _tip_pow_diff(gamma, x, log_ratio)
-    d1 = _tip_pow_diff(gamma + 1.0, x, log_ratio)
-    m0 = d0 / gamma
-    m1 = (x * d0 / gamma - d1 / (gamma + 1.0)) / h
-    return m0, m1
+    P, d0 = _pow_diff(gamma, tn - t[1:-1], h[:-1])
+    return d0, P, float(h[-1]) ** gamma
 
 
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
@@ -176,15 +163,17 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"frac_integral needs gamma in (0, 1), got {gamma!r}")
+    # J^gamma g(t_n) is hist + w g(t_n) of the solver's corrector, u0 = 0
+    from fracode.solver import _History  # solver imports this module
+
     t = g.mesh.nodes
-    h = np.diff(t)
     v = g.values
-    n_nodes = t.size
-    inv_g = 1.0 / gamma_fn(gamma)
-    out = np.zeros(n_nodes)
-    for n in range(1, n_nodes):
-        m0, m1 = _trapezoid_moments(gamma, t[n], t[: n + 1], h[:n])
-        out[n] = inv_g * (np.dot(v[:n], m0 - m1) + np.dot(v[1 : n + 1], m1))
+    hist = _History(gamma, 0.0, v[0], cap=t.size)
+    out = np.zeros(t.size)
+    for n in range(1, t.size):
+        _, base, w = hist.weights(t[n])
+        out[n] = base + w * v[n]
+        hist.accept(out[n], v[n])
     return SampledFn(g.mesh, out)
 
 
@@ -207,9 +196,8 @@ def caputo_l1(gamma: float, u: SampledFn, u0: float) -> SampledFn:
     inv_g2 = 1.0 / gamma_fn(2.0 - gamma)
     out = np.zeros(t.size)
     for n in range(1, t.size):
-        x = t[n] - t[:n]
-        d = _tip_pow_diff(q, x, np.log1p(h[: n - 1] / x[1:]))
-        out[n] = inv_g2 * np.dot(slopes[:n], d)
+        d, _, tip = _trapezoid_moments(q, t[n], t[: n + 1], h[:n])
+        out[n] = inv_g2 * (np.dot(slopes[: n - 1], d) + slopes[n - 1] * tip)
     return SampledFn(u.mesh, out)
 
 
@@ -242,9 +230,8 @@ def power_weighted_integral(mu: float, g: SampledFn) -> SampledFn:
     b = t[1:]
     h = np.diff(t)
     # a = 0 on the first cell only, where b^p - a^p is b^p
-    log_ratio = np.log1p(h[1:] / a[1:])
-    d0 = np.concatenate((b[:1] ** mu, _pow_diff(mu, a[1:], log_ratio)))
-    d1 = np.concatenate((b[:1] ** (mu + 1.0), _pow_diff(mu + 1.0, a[1:], log_ratio)))
+    d0 = np.concatenate((b[:1] ** mu, _pow_diff(mu, a[1:], h[1:])[1]))
+    d1 = np.concatenate((b[:1] ** (mu + 1.0), _pow_diff(mu + 1.0, a[1:], h[1:])[1]))
     n0 = d0 / mu
     n1 = (d1 / (mu + 1.0) - a * d0 / mu) / h
     cell = v[:-1] * (n0 - n1) + v[1:] * n1

@@ -7,10 +7,10 @@ Everything runs through the equivalent Volterra form
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
 corrector, fixed-point corrector sweeps that stop once the update
-stalls at roundoff (capped, no Newton).  `solve` and both adaptive
-marches share one Volterra history, `_History`: preallocated numpy
-buffers of nodes, states and right-hand-side values that grow by
-doubling, handed to the exact kernel moments of fracops as slices.
+stalls at roundoff (capped, no Newton).  `solve`, both adaptive
+marches and `fracops.frac_integral` share one Volterra history,
+`_History`: preallocated numpy buffers that grow by doubling, handed
+to the exact kernel moments of fracops as slices.
 History sums stay direct O(N^2) in a fixed order, so the scheme is
 deterministic down to the bit for identical inputs.
 
@@ -273,7 +273,8 @@ class _History:
     numpy buffers hold the accepted nodes plus one trial slot and double
     when full.  `weights(t_next)` writes a trial node into that slot and
     returns the Adams coefficients for it; `accept(u, f)` keeps the node
-    of the last `weights` call, up to `cap` nodes.  `solve` marches a
+    of the last `weights` call, up to `cap` nodes, caching the increment
+    df and slope df/h of f on the cell it closes.  `solve` marches a
     fixed mesh the same way, node by node, with the mesh size as cap.
     The kernel sees slices of the buffers, never rebuilt arrays, and the
     sums stay the direct O(N^2) ones in a fixed order.
@@ -288,6 +289,8 @@ class _History:
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
         self._f = np.empty(_HISTORY_START)
+        self._df = np.empty(_HISTORY_START)
+        self._s = np.empty(_HISTORY_START)
         self._u[0] = u0
         self._f[0] = f0
         self.n = 1  # accepted nodes
@@ -301,7 +304,7 @@ class _History:
         return self._u[: self.n]
 
     def _grow(self):
-        for name in ("_t", "_h", "_u", "_f"):
+        for name in ("_t", "_h", "_u", "_f", "_df", "_s"):
             old = getattr(self, name)
             new = np.empty(2 * old.size)
             new[: old.size] = old
@@ -310,24 +313,30 @@ class _History:
     def weights(self, t_next: float):
         """(predictor, corrector history, corrector weight) at t_next."""
         n = self.n
+        k = n - 1  # the tip cell is [t_k, t_next]
         if n == self._t.size:
             self._grow()
         self._t[n] = t_next
-        self._h[n - 1] = t_next - self._t[n - 1]
-        m0, m1h = _trapezoid_moments(self.gamma, t_next, self._t[: n + 1], self._h[:n])
-        fv = self._f[:n]
-        pred = self.u0 + self.inv_g * float(np.dot(fv, m0))
-        hist = self.u0 + self.inv_g * float(np.dot(fv, m0 - m1h))
-        if n > 1:
-            hist += self.inv_g * float(np.dot(fv[1:], m1h[: n - 1]))
-        w = self.inv_g * m1h[n - 1]
-        return pred, hist, w
+        self._h[k] = t_next - self._t[k]
+        g = self.gamma
+        d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
+        # f_j M0 + s_j M1 over the accepted cells (f_j M0 shared with the
+        # predictor); the tip cell adds f_k tip / (gamma + 1), w f_next later
+        fm0 = float(np.dot(self._f[:k], d0))
+        slope = float(np.dot(self._s[:k], (t_next - self._t[:k]) * d0)) / g
+        slope = (slope - float(np.dot(self._df[:k], P))) / (g + 1.0)
+        fk = float(self._f[k])
+        pred = self.u0 + self.inv_g * (fm0 + fk * tip) / g
+        hist = self.u0 + self.inv_g * (fm0 / g + slope + fk * tip / (g + 1.0))
+        return pred, hist, self.inv_g * tip / (g * (g + 1.0))
 
     def accept(self, u_next: float, f_next: float):
         if self.n >= self.cap:
             raise StepCollapseError("step budget exhausted", float(self._t[self.n - 1]))
         self._u[self.n] = u_next
         self._f[self.n] = f_next
+        self._df[self.n - 1] = df = f_next - self._f[self.n - 1]
+        self._s[self.n - 1] = df / self._h[self.n - 1]
         self.n += 1
 
     def path(self, status: PathStatus, iters: int) -> SolutionPath:

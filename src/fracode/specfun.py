@@ -260,14 +260,18 @@ def _ml_asymptotic(alpha: float, beta: float, z: float, kmax: int = 500):
     # Stop decisions use a smooth pole-free envelope (the reflection
     # magnitude with the sine factor dropped): raw terms graze Gamma
     # poles, which would fake convergence, and their sine jitter would
-    # fake divergence.  Returns (sum, err_est).
+    # fake divergence.  Returns (sum, err_est): the remainder is at most
+    # the first omitted envelope over min |1 + rho e^{i pi alpha}|, i.e.
+    # |sin(pi alpha)| at z < 0 when cos(pi alpha) < 0 (else 1; the z > 0
+    # tail sits e^w below its lead), plus what each term inherits from
+    # rounding w = beta - k alpha: envelope x EPS (k alpha + |w|) x
+    # (|psi| + pi <= log(1 + |w|) + 5.2), with |w| <= |w_last| + beta.
     s = 0.0
     zik = 1.0 / z
     lzi = -math.log(abs(z))
-    prev_env = math.inf
-    best = math.inf
-    k = 1
-    while k <= kmax:
+    prev_env = env = math.inf
+    wmass = 0.0
+    for k in range(1, kmax + 1):
         w = beta - k * alpha
         if w > 0.5:
             env = abs(zik) * rgamma(w)
@@ -276,19 +280,18 @@ def _ml_asymptotic(alpha: float, beta: float, z: float, kmax: int = 500):
             env = math.exp(arg) if arg < _EXP_MAX else math.inf
         if env >= prev_env:
             break
-        s += -zik * rgamma(w)
+        s -= zik * rgamma(w)
         prev_env = env
-        if env < best:
-            best = env
+        wmass += (k * alpha + abs(w)) * env
         if env <= EPS * abs(s):
             break
         zik /= z
         if zik == 0.0:
             break
-        k += 1
-    if best is math.inf:
-        best = 1.0
-    return s, best + EPS * abs(s) * 4.0
+    tail = env if env < math.inf else prev_env  # first omitted, else last kept
+    if z < 0.0 and math.cos(math.pi * alpha) < 0.0:
+        tail /= abs(_sinpi(alpha))
+    return s, tail + EPS * (abs(s) * 4.0 + wmass * (math.log1p(abs(w) + beta) + 5.2))
 
 
 @functools.cache
@@ -484,12 +487,13 @@ def _ml(alpha: float, beta: float, z: float):
         return (v2 - rg) / z, (e2 + EPS * (abs(rg) + abs(v2 - rg))) / x
 
     # z > 0: the Taylor terms are all positive (no cancellation), so the
-    # series is trusted whenever affordable.  Past that, for alpha < 2
-    # only the pole s = w of s^(alpha-beta) / (s^alpha - z) lies on the
-    # principal sheet, so one exponential term plus the algebraic tail
-    # is the whole expansion
+    # series is trusted until z^n overflows before it converges (first at
+    # w = 77.875 on a grid of alpha in [0.1, 2], beta in [0.01, 3], w in
+    # steps of 1/8).  Past that, for alpha < 2 only the pole s = w of
+    # s^(alpha-beta) / (s^alpha - z) lies on the principal sheet, so one
+    # exponential term plus the algebraic tail is the whole expansion
     w = z ** (1.0 / alpha)
-    if w <= 130.0:
+    if w <= 77.5:
         v, e, converged = _ml_series(
             alpha, beta, z, max_terms=int((w + 9.0 * math.sqrt(w + 1.0)) / alpha) + 80
         )

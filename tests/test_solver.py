@@ -10,8 +10,8 @@ Reference values:
   Extinction bound of D^{1/2} u = -1/u, u0 = 1:
   (Gamma(3/2))^2 = pi/4 = 0.7853981633974483.
 
-The Volterra history engine is checked bit for bit against the
-list-based weights in oracles.py.
+The Volterra history engine is checked against the list-based weights
+in oracles.py to a rounding tolerance.
 """
 
 import copy
@@ -21,11 +21,11 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import list_history_weights
+from oracles import KERNEL_RTOL, list_history_weights
 
 from fracode import solver
 from fracode.expressions import EvalError, evaluate, parse
-from fracode.fracops import Mesh
+from fracode.fracops import Mesh, default_grading
 from fracode.solver import (
     FracProblem,
     NonBlowupError,
@@ -169,6 +169,18 @@ class TestSolveExact:
         path = solve(prob, mesh)
         err = np.abs(path.values - ml_linear(0.5, -1.0, mesh.nodes))
         assert err.max() < 5e-7
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+    def test_second_order_on_default_graded_mesh(self, gamma):
+        # measured orders from N = 1024 to 2048: 1.97, 2.00, 2.00; the
+        # Mittag-Leffler reference (~1e-11) sits far below errors ~1e-8
+        prob = FracProblem.power_law(gamma, -1.0, 1.0, 1.0, 1.0)
+        errs = []
+        for n in (1024, 2048):
+            mesh = Mesh.graded(1.0, n, default_grading(gamma))
+            path = solve(prob, mesh)
+            errs.append(np.abs(path.values - ml_linear(gamma, -1.0, mesh.nodes)).max())
+        assert math.log2(errs[0] / errs[1]) >= 1.9
 
     def test_tagged_and_untagged_constant_agree_bitwise(self):
         tagged = FracProblem.power_law(0.5, 1.0, 0.0, 1.0, 1.0)
@@ -438,6 +450,16 @@ class TestBisect:
         assert abs(x - 1.0 / 21.0) <= 4.0 * math.ulp(1.0 / 21.0)
 
 
+def _assert_near_list_oracle(got, gamma, u0, t, fv, t_next, step):
+    # (pred, hist, w) within rounding of the list oracle: KERNEL_RTOL
+    # times the sum of the magnitudes of the oracle's terms
+    ref = list_history_weights(gamma, u0, t, fv, t_next)
+    scale = list_history_weights(gamma, u0, t, fv, t_next, absolute=True)
+    for a, b, s in zip(got, ref, scale):
+        assert type(a) is float
+        assert abs(a - b) <= KERNEL_RTOL * s, step
+
+
 class TestHistoryEngine:
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
     def test_march_across_reallocations_matches_list_oracle(self, gamma, monkeypatch):
@@ -451,7 +473,7 @@ class TestHistoryEngine:
             h = 1e-3 * (1.0 + (k * 7919 % 13)) * 1.1**k
             for t_next in (t[-1] + 4.0 * h, t[-1] + h):
                 got = hist.weights(t_next)
-                assert got == list_history_weights(gamma, u0, t, fv, t_next), k
+                _assert_near_list_oracle(got, gamma, u0, t, fv, t_next, k)
             x = got[1] + got[2] * math.sin(k)
             hist.accept(x, math.cos(x))
             t.append(t_next)
@@ -471,7 +493,7 @@ class TestHistoryEngine:
         fv = [f0]
         for n in range(1, len(t)):
             got = hist.weights(mesh.nodes[n])
-            assert got == list_history_weights(gamma, u0, t[:n], fv, t[n]), n
+            _assert_near_list_oracle(got, gamma, u0, t[:n], fv, t[n], n)
             hist.accept(float(n), -float(n))
             fv.append(-float(n))
         assert np.array_equal(hist.t, mesh.nodes)

@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import ml_reference
 
+from fracode import specfun
 from fracode.specfun import (
     AccuracyLossError,
     MLQuery,
     PoleError,
     ResolventQuery,
     _ml,
+    _ml_asymptotic,
     _ml_cut_integral,
     _ml_exp_pair,
     _ml_kummer_neg,
@@ -312,8 +314,45 @@ class TestMittagLeffler:
         assert v == pytest.approx(ml_reference(alpha, beta, z), abs=5e-11, rel=5e-11)
 
 
+# z < 0 points of the dispatch grid (alpha in linspace(0.1, 0.95, 10),
+# beta in {alpha, 1, 2}, z in steps of 2.5) whose asymptotic sum missed
+# its estimate when the estimate was the smallest kept envelope term;
+# the error there is truncation, up to 4x that term near alpha = 1
+_ASYMPTOTIC_MISSES = [
+    (0.7611111111111111, 0.7611111111111111, -15.0),
+    (0.7611111111111111, 2.0, -12.5),
+    (0.8555555555555555, 1.0, -20.0),
+    (0.8555555555555555, 2.0, -17.5),
+    (0.95, 0.95, -35.0),
+    (0.95, 0.95, -32.5),
+    (0.95, 0.95, -30.0),
+    (0.95, 1.0, -32.5),
+    (0.95, 1.0, -30.0),
+    (0.95, 1.0, -27.5),
+    (0.95, 2.0, -27.5),
+    (0.95, 2.0, -25.0),
+]
+
+
+class TestAsymptoticEstimate:
+    @pytest.mark.parametrize("alpha,beta,z", _ASYMPTOTIC_MISSES)
+    def test_estimate_bounds_error(self, alpha, beta, z):
+        ref = ml_reference(alpha, beta, z)
+        v, est = _ml_asymptotic(alpha, beta, z)
+        assert abs(v - ref) <= est
+        # and whichever branch answers, its estimate holds too
+        v, est = mittag_leffler_with_error(MLQuery(alpha, beta, z))
+        assert abs(v - ref) <= est
+
+    def test_estimate_keeps_the_asymptotic_branch_tight(self):
+        # where alpha <= 1/2 the remainder needs no sine factor; the
+        # estimate stays near the last term and the branch still answers
+        v, est = _ml_asymptotic(0.5, 1.0, -400.0)
+        assert est <= 1e-12 * abs(v)
+
+
 def _alpha_above_one_grid():
-    # (alpha, beta, z) at z = w^alpha; w > 130 is past the Taylor gate
+    # (alpha, beta, z) at z = w^alpha; w > 77.5 is past the Taylor gate
     for alpha in (1.001, 1.01, 1.05, 1.2, 1.5, 1.9):
         for beta in (0.5, 1.0, alpha, 2.0):
             for w in (60.0, 150.0, 300.0, 600.0):
@@ -338,11 +377,44 @@ class TestPositiveExponential:
                 alpha, beta, z,
             )
 
+    def test_past_the_taylor_gate_the_exponential_rung_answers(self, monkeypatch):
+        # past w = 77.5 z^n overflows before the Taylor sum converges, so
+        # the series is not tried there
+        def no_series(*args, **kwargs):
+            raise AssertionError("Taylor series tried past its gate")
+
+        pts = [
+            (alpha, beta, w**alpha)
+            for alpha in (0.1, 0.3, 0.7611111111111111, 1.5, 1.99)
+            for beta in (0.5, 1.0, alpha, 2.0)
+            for w in (78.0, 80.6, 100.0, 129.0)
+        ]
+        refs = [ml_reference(*p) for p in pts]
+        monkeypatch.setattr(specfun, "_ml_series", no_series)
+        for (alpha, beta, z), ref in zip(pts, refs):
+            v = mittag_leffler(MLQuery(alpha, beta, z))
+            assert v == pytest.approx(ref, rel=1e-12), (alpha, beta, z)
+
+    def test_below_the_taylor_gate_the_series_answers(self, monkeypatch):
+        converged = []
+
+        def spy(*args, **kwargs):
+            out = _ml_series(*args, **kwargs)
+            converged.append(out[2])
+            return out
+
+        monkeypatch.setattr(specfun, "_ml_series", spy)
+        for alpha in (0.1, 0.5, 1.01, 1.5, 1.99):
+            for beta in (0.01, 1.0, 3.0):
+                converged.clear()
+                mittag_leffler(MLQuery(alpha, beta, 77.0**alpha))
+                assert converged == [True], (alpha, beta)
+
     def test_estimate_bounds_error(self):
         # every point past the Taylor gate, the former log-series window
         # w in (130, 500] at small alpha among them, and (0.194, 0.194,
         # 2.5) at w = 111, where z^n overflows before the series converges
-        pts = [(a, b, z) for a, b, z in _alpha_above_one_grid() if z ** (1 / a) > 130]
+        pts = [(a, b, z) for a, b, z in _alpha_above_one_grid() if z ** (1 / a) > 77.5]
         for alpha in (0.3833333333333333, 0.7):
             for beta in (alpha, 1.0, 2.0):
                 pts += [(alpha, beta, w**alpha) for w in (140.0, 300.0, 480.0)]
