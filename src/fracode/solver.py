@@ -19,9 +19,10 @@ right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
 into its singularity with growth-limited geometrically shrinking steps
 and fits the blow-up time and strength; `detect_extinction` (A<0, p<0)
 follows the decay until the corrector equation loses its positive root,
-which is the discrete signature of the solution touching 0.  The
-corrector's bracket fallback and extinction's per-step root search
-share one bisection, `_bisect`.
+which is the discrete signature of the solution touching 0.  Its
+per-step root search is a monotone Newton iteration on the convex
+corrector equation; the corrector's bracket fallback and that search's
+own fallback share one bisection, `_bisect`.
 """
 
 from __future__ import annotations
@@ -262,6 +263,31 @@ def _bisect(phi, lo, flo, hi):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi), evals
+
+
+def _newton_down(phi, lo, flo, hi, phi_hi):
+    # root of an increasing convex phi on (lo, hi), phi(lo) = flo < 0,
+    # from phi_hi = phi(hi) with phi(hi) >= 0; phi(x) returns (value,
+    # slope).  Newton from hi then decreases monotonically onto the root,
+    # and stops once a step is at most 4 ulp.  A step that would leave
+    # (lo, hi), or a slope that is not positive, hands the bracket to
+    # _bisect.  Returns (root, evaluations), hi's evaluation not counted
+    x, (fx, dfx) = hi, phi_hi
+    evals = 0
+    for _ in range(60):
+        if not dfx > 0.0:
+            break
+        step = fx / dfx
+        x_new = x - step
+        if not lo < x_new < hi:
+            break
+        if abs(step) <= 4.0 * math.ulp(x):
+            return x_new, evals
+        x = x_new
+        fx, dfx = phi(x)
+        evals += 1
+    root, more = _bisect(lambda v: phi(v)[0], lo, flo, hi)
+    return root, evals + more
 
 
 _HISTORY_START = 1024  # buffer length of an adaptive march; doubles on demand
@@ -615,19 +641,21 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                 touch = t_next
                 break
             # the bracket (x_star, hi) is positive, so the powers need
-            # none of _upow's domain checks, only its overflow mapping
+            # none of _upow's domain checks, only its overflow mapping.
+            # phi' = 1 - w A p x^(p-1) > 0 and phi'' > 0 right of x_star
             def phi(x):
-                return x - hval - wA * math.pow(x, p)
+                xp = math.pow(x, p)
+                return x - hval - wA * xp, 1.0 - wA * p * xp / x
 
             try:
                 hi = max(2.0 * x_star, u_n)
                 phi_hi = phi(hi)
                 grow = 0
-                while phi_hi < 0.0 and grow < 200:
+                while phi_hi[0] < 0.0 and grow < 200:
                     hi *= 2.0
                     phi_hi = phi(hi)
                     grow += 1
-                x, evals = _bisect(phi, x_star, phi_min, hi)
+                x, evals = _newton_down(phi, x_star, phi_min, hi, phi_hi)
             except OverflowError:
                 raise EvalError("overflow in power law", 0) from None
             iters += evals

@@ -5,10 +5,17 @@ Mittag-Leffler function E_{alpha,beta} for alpha in (0, 2], the power
 kernel t^beta / Gamma(1+beta), and the resolvent kernel of the linear
 problem.  The public API is scalar: one float in, one float out.  Gamma
 and log-gamma are the standard library's math.gamma and math.lgamma.
-The only numpy inside is the panel quadrature behind the integral
-representations: an adaptive 16-point Gauss-Legendre rule per panel,
-with the 8-point rule on the same panel as its error estimate, that
-evaluates the integrand once per round on the nodes of every open panel.
+
+There is one private array entry point, `_ml_many(alpha, beta, z)`, for
+callers that need one (alpha, beta) pair at many z (`verify`'s
+resolvent check).  It runs the scalar ladder's series and asymptotic
+sums as lane-masked numpy loops over the term index, with the per-term
+Gamma values tabulated once per pair, and hands everything it does not
+batch to the scalar evaluator.  The integral representations share one
+panel quadrature over many rows (one row per integral): an adaptive
+16-point Gauss-Legendre rule per panel, with the 8-point rule on the
+same panel as its error estimate, that evaluates the integrand once per
+round on the nodes of every open panel of every row.
 
 The Mittag-Leffler evaluator switches between four strategies so the
 whole real axis stays usable: Taylor series where roundoff cancellation
@@ -308,51 +315,73 @@ def _gauss_legendre_pair():
     return np.concatenate([x8, x16]), w8, w16
 
 
-def _panel_quad(f, a: float, b: float, tol: float, max_panels: int = 2000):
-    # Integral of f over [a, b] to absolute tol; returns (integral, ok).
-    # f takes and returns float arrays.  Each round evaluates f once on
-    # the nodes of every open panel and bisects only the panels that
+def _panel_quad_rows(f, a, b, tol: float, max_panels: int = 2000):
+    # Integrals over the rows [a[i], b[i]], each to absolute tol; returns
+    # (integrals, ok), arrays over the rows.  f(rows, x) takes the row
+    # of each open panel and the (panels, 24) nodes on those panels and
+    # returns float arrays.  Each round evaluates f once on the nodes of
+    # every open panel of every row and bisects only the panels that
     # fail.  A panel of width w passes when its estimate is within
-    # tol * max(w / (b - a), 1 / max_panels), so the accepted errors sum
-    # to at most 2 tol, or when it sits at the roundoff floor of the
+    # tol * max(w / (b - a), 1 / max_panels), so a row's accepted errors
+    # sum to at most 2 tol, or when it sits at the roundoff floor of the
     # panel's |f| mass (a width-proportional share alone keeps bisecting
-    # a narrow peak whose panels are already at roundoff).  ok is False
-    # when the partition would exceed max_panels.  Eight equal panels to
-    # start let most integrals here close in a round or two; each round
-    # costs a fixed numpy overhead.
+    # a narrow peak whose panels are already at roundoff).  A row whose
+    # partition would exceed max_panels stops with its open panels as
+    # they are and ok False; the other rows go on.  Eight equal panels
+    # per row to start let most integrals here close in a round or two;
+    # each round costs a fixed numpy overhead, shared by all rows.  A
+    # row's value is one math.fsum of its panels, so it does not depend
+    # on the order in which they closed.
     nodes, w8, w16 = _gauss_legendre_pair()
-    edges = np.linspace(a, b, 9)
-    lo, hi = edges[:-1], edges[1:]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n_rows = a.size
+    edges = np.linspace(a, b, 9, axis=-1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(np.arange(n_rows), 8)
     share = tol / (b - a)
     floor = tol / max_panels
-    parts = []
-    panels = lo.size
-    while True:
+    panels = np.full(n_rows, 8)
+    ok = np.ones(n_rows, dtype=bool)
+    rows, parts = [], []
+    while row.size:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        fx = f(mid[:, None] + half[:, None] * nodes)
+        fx = f(row, mid[:, None] + half[:, None] * nodes)
         lo_rule = half * (fx[:, :8] @ w8)
         hi_rule = half * (fx[:, 8:] @ w16)
         mass = half * (np.abs(fx[:, 8:]) @ w16)
         err = np.abs(hi_rule - lo_rule)
-        good = (err <= np.maximum(2.0 * share * half, floor)) | (
+        good = (err <= np.maximum(2.0 * share[row] * half, floor)) | (
             err <= 64.0 * EPS * mass
         )
-        parts.append(hi_rule[good])
-        bad = ~good
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            return math.fsum(np.concatenate(parts)), True
-        panels += n_bad
-        if panels > max_panels:
-            parts.append(hi_rule[bad])
-            return math.fsum(np.concatenate(parts)), False
-        lo, mid, hi = lo[bad], mid[bad], hi[bad]
+        panels += np.bincount(row[~good], minlength=n_rows)
+        over = panels > max_panels
+        ok &= ~over
+        closed = good | over[row]
+        rows.append(row[closed])
+        parts.append(hi_rule[closed])
+        split = ~closed
+        lo, mid, hi, row = lo[split], mid[split], hi[split], row[split]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        row = np.concatenate([row, row])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    cuts = np.cumsum(np.bincount(rows, minlength=n_rows))[:-1]
+    sums = [math.fsum(part) for part in np.split(np.concatenate(parts)[order], cuts)]
+    return np.array(sums), ok
 
 
-def _ml_cut_integral(alpha: float, beta: float, x: float):
-    # Branch-cut density integral for E_{alpha,beta}(-x), x > 0:
+def _panel_quad(f, a: float, b: float, tol: float, max_panels: int = 2000):
+    # one row of _panel_quad_rows: the integral of f (float arrays in and
+    # out) over [a, b] to absolute tol; returns (integral, ok)
+    val, ok = _panel_quad_rows(lambda rows, x: f(x), [a], [b], tol, max_panels)
+    return float(val[0]), bool(ok[0])
+
+
+def _ml_cut_integral(alpha: float, beta: float, x):
+    # Branch-cut density integral for E_{alpha,beta}(-x) at each x > 0 of
+    # an array (or one float):
     #
     #   (1/pi) int_0^inf e^{-r} r^{alpha-beta}
     #          [r^alpha sin(pi beta) - x sin(pi(alpha-beta))]
@@ -360,20 +389,23 @@ def _ml_cut_integral(alpha: float, beta: float, x: float):
     #
     # valid for alpha in (0,1) u (1,2], beta < 1+alpha.  For alpha > 1
     # the caller must add the conjugate residue pair (_ml_exp_pair).
+    # Returns (values, estimates) as arrays; each x is one row of the two
+    # many-row quadratures.
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     sb = _sinpi(beta)
     sab = _sinpi(alpha - beta)
     if sb == 0.0 and sab == 0.0:
-        return 0.0, 0.0
+        return np.zeros_like(x), np.zeros_like(x)
     # the denominator as (r^alpha + x cos)^2 + (x sin)^2: both squares
     # are nonnegative, so it keeps its relative accuracy at its minimum
     # r^alpha = x, where the expanded form cancels for alpha near 1
     xc = x * math.cos(math.pi * alpha)
     xs2 = (x * _sinpi(alpha)) ** 2
 
-    def fker(r):
+    def fker(rows, r):
         ra = r**alpha
-        den = (ra + xc) ** 2 + xs2
-        num = (ra * sb - x * sab) * r ** (alpha - beta)
+        den = (ra + xc[rows, None]) ** 2 + xs2[rows, None]
+        num = (ra * sb - x[rows, None] * sab) * r ** (alpha - beta)
         return np.exp(-r) * num / den
 
     # [0,1]: substitute r = v^m to remove the endpoint singularity; the
@@ -383,19 +415,19 @@ def _ml_cut_integral(alpha: float, beta: float, x: float):
     qmin = (alpha - beta) if sab != 0.0 else (2.0 * alpha - beta)
     m = min(max(1.0, 4.0 / (qmin + 1.0)), 64.0)
 
-    def fker0(v):
+    def fker0(rows, v):
         r = v**m
         # where v^m underflows the true value is O(v^3), far below tol
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = fker(r) * m * v ** (m - 1.0)
+            out = fker(rows, r) * m * v ** (m - 1.0)
         return np.where(r > 0.0, out, 0.0)
 
-    i1, ok1 = _panel_quad(fker0, 0.0, 1.0, 1e-14)
-    r_max = 60.0 + 5.0 * abs(math.log(x))
-    i2, ok2 = _panel_quad(fker, 1.0, r_max, 1e-14)
-    est = 3e-13 * (abs(i1) + abs(i2) + 1.0) / math.pi
-    if not (ok1 and ok2):
-        est = max(est, 1e-8)
+    ones = np.ones_like(x)
+    i1, ok1 = _panel_quad_rows(fker0, np.zeros_like(x), ones, 1e-14)
+    r_max = np.array([60.0 + 5.0 * abs(math.log(v)) for v in x.tolist()])
+    i2, ok2 = _panel_quad_rows(fker, ones, r_max, 1e-14)
+    est = 3e-13 * (np.abs(i1) + np.abs(i2) + 1.0) / math.pi
+    est = np.where(ok1 & ok2, est, np.maximum(est, 1e-8))
     return (i1 + i2) / math.pi, est
 
 
@@ -428,6 +460,14 @@ def _ml_kummer_neg(beta: float, z: float):
     rg = rgamma(beta)
     est = abs(rg) * (3e-14 + (0.0 if ok else 1e-8)) + EPS * abs(rg * i) * 4.0
     return rg * i, est
+
+
+def _missed_target(alpha: float, beta: float, z: float, est: float):
+    return AccuracyLossError(
+        f"mittag_leffler({alpha:g}, {beta:g}, {z:g}): achieved error "
+        f"estimate {est:.3e} misses the {_ML_TARGET:.0e} target",
+        est,
+    )
 
 
 def _ml(alpha: float, beta: float, z: float):
@@ -472,14 +512,10 @@ def _ml(alpha: float, beta: float, z: float):
         # cut-integral substitution exponent stays bounded
         if beta <= 1.0 + alpha - 0.0625:
             iv, ie = _ml_cut_integral(alpha, beta, x)
-            val = iv + pair
-            est = ie + 4.0 * EPS * abs(pair)
+            val = float(iv[0]) + pair
+            est = float(ie[0]) + 4.0 * EPS * abs(pair)
             if est > _ML_TARGET * max(1.0, abs(val)):
-                raise AccuracyLossError(
-                    f"mittag_leffler({alpha:g}, {beta:g}, {z:g}): achieved error "
-                    f"estimate {est:.3e} misses the {_ML_TARGET:.0e} target",
-                    est,
-                )
+                raise _missed_target(alpha, beta, z, est)
             return val, est
         # beta reduction: E_{a,b}(z) = (E_{a,b-a}(z) - rgamma(b-a)) / z
         rg = rgamma(beta - alpha)
@@ -511,6 +547,199 @@ def _ml(alpha: float, beta: float, z: float):
     # itself by EPS w, and the sum lead_log by EPS |lead_log|
     rel = EPS * (w * (1.0 + abs(lz) / alpha) + abs(lead_log) + 4.0)
     return lead + tail, te + rel * lead
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler over arrays: one (alpha, beta) pair at many z
+#
+# The series and the asymptotic expansion run as lane-masked loops over
+# the term index: every z is a lane with its own running sums, stop test
+# and estimate, doing the scalar code's float operations in the scalar
+# code's order, and a lane leaves the arrays at its own stop.  The
+# per-term coefficients depend on the pair alone, so they are tabulated
+# once per pair.  The asymptotic envelope's exp is numpy's, which can
+# differ from math.exp in the last bit; that moves estimates by a
+# rounding and, only at an exact tie, a stop.
+
+
+@functools.lru_cache(maxsize=32)
+def _series_coeffs(alpha: float, beta: float, n: int):
+    # per term k < n, as _ml_series forms them: rgamma(w) and w for
+    # w = alpha*k + beta, and max(log w, 0) for the inherited rounding
+    w = [alpha * k + beta for k in range(n)]
+    table = (
+        np.array([rgamma(v) for v in w]),
+        np.array(w),
+        np.array([max(math.log(v), 0.0) for v in w]),
+    )
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _asymptotic_coeffs(alpha: float, beta: float, kmax: int = 500):
+    # per k = 1..kmax, as _ml_asymptotic forms them from w = beta - k alpha:
+    # rgamma(w), log_gamma(1 - w) where the envelope needs it (w <= 0.5,
+    # else None), k alpha + |w| and log1p(|w| + beta) + 5.2
+    out = []
+    for k in range(1, kmax + 1):
+        w = beta - k * alpha
+        lg = log_gamma(1.0 - w) if w <= 0.5 else None
+        out.append((k, rgamma(w), lg, k * alpha + abs(w), math.log1p(abs(w) + beta) + 5.2))
+    return tuple(out)
+
+
+def _ml_series_lanes(alpha: float, beta: float, z: np.ndarray, max_terms: np.ndarray):
+    # _ml_series at every z, each lane with its own max_terms; returns
+    # arrays (values, estimates, converged)
+    n_lanes = z.size
+    val = np.empty(n_lanes)
+    est = np.empty(n_lanes)
+    converged = np.zeros(n_lanes, dtype=bool)
+    if n_lanes == 0:
+        return val, est, converged
+    need = int(max_terms.max())
+    rgs, ws, logws = _series_coeffs(alpha, beta, -(-need // 512) * 512)
+    lane = np.arange(n_lanes)
+    zl, cap = z, max_terms
+    s, c, term_max, mass, wmass = (np.zeros(n_lanes) for _ in range(5))
+    zn = np.ones(n_lanes)
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lane.size:
+            t = zn * rgs[n]
+            at = np.abs(t)
+            term_max = np.maximum(term_max, at)
+            mass += at
+            wmass += ws[n] * at
+            y = t - c
+            u = s + y
+            c = (u - s) - y
+            s = u
+            stop = (at <= EPS * np.abs(s)) & (n > 2)
+            zn = zn * zl
+            blown = ~stop & ~np.isfinite(zn)
+            ends = stop | (~blown & (n + 1 >= cap))
+            done = ends | blown
+            if done.any():
+                val[lane[done]] = s[done]
+                inherited = wmass[ends] * logws[n] + 1.1 * mass[ends]
+                est[lane[ends]] = (
+                    EPS * ((term_max[ends] + np.abs(s[ends])) * 4.0 + inherited) + at[ends]
+                )
+                est[lane[blown]] = math.inf
+                converged[lane[stop]] = True
+                go = ~done
+                lane, zl, cap, zn = lane[go], zl[go], cap[go], zn[go]
+                s, c, term_max, mass, wmass = s[go], c[go], term_max[go], mass[go], wmass[go]
+            n += 1
+    return val, est, converged
+
+
+def _ml_asymptotic_lanes(alpha: float, beta: float, z: np.ndarray):
+    # _ml_asymptotic at every z < 0; returns arrays (values, estimates)
+    n_lanes = z.size
+    val = np.empty(n_lanes)
+    est = np.empty(n_lanes)
+    if n_lanes == 0:
+        return val, est
+    lane = np.arange(n_lanes)
+    zl = z
+    lzi = -np.array([math.log(abs(v)) for v in z.tolist()])
+    zik = 1.0 / z
+    s = np.zeros(n_lanes)
+    wmass = np.zeros(n_lanes)
+    prev_env = np.full(n_lanes, math.inf)
+    sine = abs(_sinpi(alpha)) if math.cos(math.pi * alpha) < 0.0 else 1.0
+    coeffs = _asymptotic_coeffs(alpha, beta)
+    kmax = len(coeffs)
+    with np.errstate(over="ignore"):
+        for k, rg, lg, kw, log_w in coeffs:
+            if lg is None:
+                env = np.abs(zik) * rg
+            else:
+                arg = k * lzi + lg - _LOG_PI
+                env = np.where(arg < _EXP_MAX, np.exp(arg), math.inf)
+            rising = env >= prev_env
+            tail = np.where(env < math.inf, env, prev_env)
+            s = np.where(rising, s, s - zik * rg)
+            wmass = np.where(rising, wmass, wmass + kw * env)
+            prev_env = env
+            zik = zik / zl
+            done = rising | (env <= EPS * np.abs(s)) | (zik == 0.0) | (k == kmax)
+            if done.any():
+                val[lane[done]] = s[done]
+                est[lane[done]] = tail[done] / sine + EPS * (
+                    np.abs(s[done]) * 4.0 + wmass[done] * log_w
+                )
+                go = ~done
+                lane, zl, lzi, zik = lane[go], zl[go], lzi[go], zik[go]
+                s, wmass, prev_env = s[go], wmass[go], prev_env[go]
+                if not lane.size:
+                    break
+    return val, est
+
+
+def _ml_many(alpha: float, beta: float, z: np.ndarray):
+    """E_{alpha,beta} and its error estimate at every entry of the 1-D array z.
+
+    Returns arrays (values, estimates).  The same ladder as `_ml`, in the
+    same order and with the same gates, run over whole arrays for
+    0 < alpha < 1: the Taylor series lanes, then the asymptotic lanes,
+    then one batched cut integral for the z < 0 left over.  Everything
+    else goes through `_ml` one z at a time: alpha >= 1, the beta
+    reduction, and z > 0 past the Taylor series.  Raises
+    AccuracyLossError where `_ml` would.
+    """
+    z = np.asarray(z, dtype=float)
+    val = np.empty(z.size)
+    est = np.empty(z.size)
+    scalar = []
+    if 0.0 < alpha < 1.0:
+        series, max_terms, far = [], [], []
+        for i, zi in enumerate(z.tolist()):
+            if zi < 0.0:
+                if _series_cancel_logmax(alpha, beta, zi) <= _LOG_SERIES_OK:
+                    series.append(i)
+                    max_terms.append(500)
+                else:
+                    far.append(i)
+            elif zi > 0.0:
+                w = zi ** (1.0 / alpha)
+                if w <= 77.5:
+                    series.append(i)
+                    max_terms.append(int((w + 9.0 * math.sqrt(w + 1.0)) / alpha) + 80)
+                else:
+                    scalar.append(i)
+            else:
+                val[i], est[i] = rgamma(beta), EPS
+        series = np.array(series, dtype=np.intp)
+        v, e, converged = _ml_series_lanes(alpha, beta, z[series], np.array(max_terms))
+        neg = z[series] < 0.0
+        good = converged & (~neg | (e <= _SERIES_TARGET * np.maximum(1.0, np.abs(v))))
+        val[series[good]], est[series[good]] = v[good], e[good]
+        scalar += series[~good & ~neg].tolist()
+
+        far = np.concatenate([np.array(far, dtype=np.intp), series[~good & neg]])
+        v, e = _ml_asymptotic_lanes(alpha, beta, z[far])
+        good = e <= 1e-12 * np.maximum(np.abs(v), 1e-3)
+        val[far[good]], est[far[good]] = v[good], e[good]
+        rest = far[~good]
+        if beta <= 1.0 + alpha - 0.0625 and rest.size:
+            v, e = _ml_cut_integral(alpha, beta, -z[rest])
+            miss = np.flatnonzero(e > _ML_TARGET * np.maximum(1.0, np.abs(v)))
+            if miss.size:
+                i = miss[0]
+                raise _missed_target(alpha, beta, float(z[rest[i]]), float(e[i]))
+            val[rest], est[rest] = v, e
+        else:
+            scalar += rest.tolist()
+    else:
+        scalar = range(z.size)
+    for i in scalar:
+        val[i], est[i] = _ml(alpha, beta, float(z[i]))
+    return val, est
 
 
 def mittag_leffler(q: MLQuery) -> float:

@@ -383,21 +383,30 @@ class TestDetectExtinction:
         assert 0.0 < report.touch_time < bound
         assert np.all(np.diff(report.path.values) < 0.0)
 
-    def test_iterations_count_the_bisection_evaluations(self, monkeypatch):
+    def test_iterations_count_the_root_search_evaluations(self, monkeypatch):
         # every corrector iteration of the march is one evaluation in the
-        # shared bisection
+        # per-step root search
         evals = []
 
         def counting(*args):
-            root, n = bisect(*args)
+            root, n = newton(*args)
             evals.append(n)
             return root, n
 
-        bisect = solver._bisect
-        monkeypatch.setattr(solver, "_bisect", counting)
+        newton = solver._newton_down
+        monkeypatch.setattr(solver, "_newton_down", counting)
         report = detect_extinction(FracProblem.power_law(0.8, -0.5, -2.0, 0.7, 1.0))
         assert len(evals) == report.path.values.size - 1
         assert report.path.corrector_iterations == sum(evals) > 0
+
+    @pytest.mark.parametrize("eps_touch", [None, 1e-2])
+    def test_reference_case_takes_few_evaluations_per_step(self, eps_touch):
+        # Newton from the bracket's upper end, against ~52 per step when
+        # each root was bisected to adjacent doubles
+        prob = FracProblem.power_law(0.5, -1.0, -1.0, 1.0, 1.0)
+        report = detect_extinction(prob, eps_touch)
+        steps = report.path.values.size - 1
+        assert report.path.corrector_iterations <= 4 * steps
 
     def test_rejects_problems_without_extinction_shape(self):
         with pytest.raises(ValueError):
@@ -406,6 +415,44 @@ class TestDetectExtinction:
             detect_extinction(FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="power-law"):
             detect_extinction(FracProblem.from_rhs(0.5, "-sin(u)", 1.0, 1.0))
+
+
+class TestNewtonDown:
+    @staticmethod
+    def recording(phi):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return phi(x)
+
+        return wrapped, calls
+
+    def test_convex_root_in_few_evaluations(self):
+        def phi(x):
+            return x**3 - 2.0, 3.0 * x**2
+
+        phi, calls = self.recording(phi)
+        root, evals = solver._newton_down(phi, 1.0, -1.0, 2.0, phi(2.0))
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * math.ulp(root)
+        assert evals == len(calls) - 1 <= 8  # the first call was hi's
+        assert calls == sorted(calls, reverse=True)  # monotone from hi
+
+    def test_step_leaving_the_bracket_falls_back_to_bisection(self):
+        # concave, so the first Newton step from hi overshoots below lo
+        def phi(x):
+            return math.sqrt(x) - 1.0, 0.5 / math.sqrt(x)
+
+        root, evals = solver._newton_down(phi, 0.01, -0.9, 100.0, phi(100.0))
+        assert abs(root - 1.0) <= 2.0 * math.ulp(1.0)
+        assert evals >= 50  # the bisection's evaluations are counted
+
+    def test_flat_slope_falls_back_to_bisection(self):
+        def phi(x):
+            return x - 0.5, 0.0
+
+        root, evals = solver._newton_down(phi, 0.0, -0.5, 1.0, phi(1.0))
+        assert (root, evals) == (0.5, 1)
 
 
 class TestBisect:

@@ -19,8 +19,10 @@ from fracode.specfun import (
     _ml_cut_integral,
     _ml_exp_pair,
     _ml_kummer_neg,
+    _ml_many,
     _ml_series,
     _panel_quad,
+    _panel_quad_rows,
     beta_fn,
     gamma_fn,
     log_gamma,
@@ -32,6 +34,7 @@ from fracode.specfun import (
 )
 
 SQRT_PI = 1.7724538509055160273
+EPS = specfun.EPS
 
 
 class TestGamma:
@@ -496,6 +499,137 @@ class TestPanelQuadrature:
     def test_accuracy_loss_error_carries_estimate(self):
         err = AccuracyLossError("no strategy converged", 3e-7)
         assert err.estimate == 3e-7
+
+    def test_rows_agree_with_one_row_calls(self):
+        # smooth, oscillating, narrow-peaked and budget-starved rows side
+        # by side: each row runs its own bisection, budget and ok
+        def f(rows, x):
+            k = np.array([1.0, 7.0, 0.0, 0.0])[rows, None]
+            peak = np.array([1.0, 1.0, 1e-7, 1.0])[rows, None]
+            sing = np.array([0.0, 0.0, 0.0, 1.0])[rows, None]
+            smooth = np.exp(-k * x) * np.cos(3.0 * k * x)
+            narrow = 1.0 / (x**2 + peak**2)
+            return np.where(sing > 0.0, np.abs(x - 1.0 / 3.0) ** -0.9, smooth + narrow)
+
+        a = np.array([0.0, -1.0, 0.0, 0.0])
+        b = np.array([2.0, 3.5, 1.0, 1.0])
+        vals, ok = _panel_quad_rows(f, a, b, 1e-13, max_panels=200)
+        assert ok.tolist() == [True, True, True, False]
+        for i in range(a.size):
+            v, one_ok = _panel_quad(
+                lambda x: f(np.full(x.shape[0], i), x), a[i], b[i], 1e-13, 200
+            )
+            assert one_ok == ok[i]
+            assert abs(vals[i] - v) <= 1e-15 * abs(v), i
+
+
+def _dispatch_grid():
+    # the mpmath dispatch grid: alpha in linspace(0.1, 0.95, 10), beta in
+    # {alpha, 1, 2}, z in steps of 2.5 over [-50, 50]
+    z = np.linspace(-50.0, 50.0, 41)
+    for alpha in np.linspace(0.1, 0.95, 10):
+        for beta in (alpha, 1.0, 2.0):
+            yield float(alpha), float(beta), z
+
+
+def _many_with_cut_lanes(monkeypatch, alpha, beta, z):
+    # _ml_many at z, and the z its batched cut integral answered
+    cut = []
+
+    def spy(alpha, beta, x):
+        cut.extend((-np.atleast_1d(x)).tolist())
+        return _ml_cut_integral(alpha, beta, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_ml_cut_integral", spy)
+        values, estimates = _ml_many(alpha, beta, z)
+    return values, estimates, set(cut)
+
+
+class TestMittagLefflerMany:
+    """`_ml_many` runs `_ml`'s ladder over arrays; `_ml` is its oracle."""
+
+    def test_matches_scalar_on_dispatch_grid(self, monkeypatch):
+        # series and asymptotic lanes do the scalar float operations in
+        # the scalar order, so they agree bit for bit; the cut lanes'
+        # panels are summed in batches and may move by a rounding
+        lanes = {"cut": 0, "bitwise": 0}
+        for alpha, beta, z in _dispatch_grid():
+            values, estimates, cut = _many_with_cut_lanes(monkeypatch, alpha, beta, z)
+            for zi, v, e in zip(z.tolist(), values, estimates):
+                ref, ref_est = _ml(alpha, beta, zi)
+                if zi in cut:
+                    lanes["cut"] += 1
+                    assert abs(v - ref) <= 1e-15 * (1.0 + abs(ref)), (alpha, beta, zi)
+                else:
+                    lanes["bitwise"] += 1
+                    assert v == ref, (alpha, beta, zi)
+                assert e == pytest.approx(ref_est, rel=1e-13), (alpha, beta, zi)
+        assert lanes["cut"] >= 50 and lanes["bitwise"] >= 1000
+
+    def test_every_lane_kind_runs_on_the_grid(self, monkeypatch):
+        seen = {"_ml_series_lanes": 0, "_ml_asymptotic_lanes": 0, "_ml_cut_integral": 0}
+
+        def counting(name):
+            inner = getattr(specfun, name)
+
+            def wrapped(*args):
+                seen[name] += np.asarray(args[2]).size
+                return inner(*args)
+
+            return wrapped
+
+        for name in seen:
+            monkeypatch.setattr(specfun, name, counting(name))
+        for alpha, beta, z in _dispatch_grid():
+            _ml_many(alpha, beta, z)
+        assert min(seen.values()) >= 50, seen
+
+    def test_estimates_bound_the_error(self):
+        # every grid point whose mpmath reference needs at most 100 Taylor
+        # terms: all three lane kinds are among them
+        checked = 0
+        for alpha, beta, z in _dispatch_grid():
+            values, estimates = _ml_many(alpha, beta, z)
+            for zi, v, e in zip(z.tolist(), values, estimates):
+                ref = ml_reference(alpha, beta, zi, feasible_n=100)
+                if ref is None or not math.isfinite(ref):
+                    continue
+                checked += 1
+                assert abs(v - ref) <= e, (alpha, beta, zi, v, ref, e)
+        assert checked >= 400
+
+    def test_edge_inputs(self):
+        values, estimates = _ml_many(0.5, 1.0, np.array([]))
+        assert values.shape == estimates.shape == (0,)
+        # z = 0 (both signs) and mixed signs in one array
+        z = np.array([0.0, -0.0, 3.0, -1.0, -40.0, 0.25, -7.5, 100.0])
+        values, estimates = _ml_many(0.5, 1.0, z)
+        assert values[0] == values[1] == 1.0 and estimates[0] == EPS
+        for zi, v in zip(z.tolist(), values):
+            assert v == _ml(0.5, 1.0, zi)[0], zi
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (1.0, 0.5), (1.5, 1.0), (2.0, 2.0)])
+    def test_alpha_one_and_above_go_through_the_scalar_ladder(self, alpha, beta):
+        z = np.linspace(-30.0, 30.0, 13)
+        values, estimates = _ml_many(alpha, beta, z)
+        for zi, v, e in zip(z.tolist(), values, estimates):
+            assert (v, e) == _ml(alpha, beta, zi), zi
+
+    def test_accuracy_loss_where_the_scalar_raises(self, monkeypatch):
+        # a cut integral whose panels run out of budget misses the target
+        # in both paths, with the same message and estimate
+        def starved(f, a, b, tol, max_panels=2000):
+            return np.zeros(np.size(a)), np.zeros(np.size(a), dtype=bool)
+
+        alpha, z = 0.7611111111111111, -10.0
+        monkeypatch.setattr(specfun, "_panel_quad_rows", starved)
+        with pytest.raises(AccuracyLossError) as scalar:
+            _ml(alpha, alpha, z)
+        with pytest.raises(AccuracyLossError) as many:
+            _ml_many(alpha, alpha, np.array([-1.0, z, 2.0]))
+        assert str(many.value) == str(scalar.value)
+        assert many.value.estimate == scalar.value.estimate
 
 
 class TestResolvent:

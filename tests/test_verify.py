@@ -23,7 +23,7 @@ from fracode import verify
 from fracode.expressions import parse
 from fracode.fracops import Mesh, SampledFn, default_grading
 from fracode.solver import FracProblem, solve
-from fracode.specfun import MLQuery, ResolventQuery, mittag_leffler, resolvent
+from fracode.specfun import MLQuery, ResolventQuery, _ml, mittag_leffler, resolvent
 from fracode.verify import (
     CORPUS_SEED,
     VIOLATION_TOL,
@@ -216,6 +216,22 @@ class TestCheckResolvent:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="lam > 0"):
             check_resolvent(0.0, 0.5)
+
+    @pytest.mark.parametrize("lam, gamma", [(20.0, 0.5), (1.0, 0.3)])
+    def test_array_evaluation_matches_the_scalar_ladder(self, monkeypatch, lam, gamma):
+        # check_resolvent evaluates Mittag-Leffler over whole arrays; the
+        # same check through scalar _ml, one z at a time, is its reference
+        rep = check_resolvent(lam, gamma, 1.0, 1024)
+
+        def one_at_a_time(alpha, beta, z):
+            pairs = [_ml(alpha, beta, zi) for zi in z.tolist()]
+            return np.array([v for v, _ in pairs]), np.array([e for _, e in pairs])
+
+        monkeypatch.setattr(verify, "_ml_many", one_at_a_time)
+        ref = check_resolvent(lam, gamma, 1.0, 1024)
+        for field in ("max_residual", "ml_identity_dev", "min_r"):
+            got, want = getattr(rep, field), getattr(ref, field)
+            assert got == pytest.approx(want, rel=1e-12), field
 
 
 class TestMaxPrincipleDefect:
