@@ -398,10 +398,12 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
             return PathStatus.BLOWUP_SUSPECTED
         return PathStatus.EVALUATION_FAILURE
 
-    # positive half-line restriction when the rhs cannot take u <= 0
+    # positive half-line restriction when the rhs cannot take u <= 0, or
+    # when the comparison principle keeps a decaying power law positive
     lo_limit = (
         0.0
-        if prob.is_power_law and (prob.p != int(prob.p) or prob.p < 0)
+        if prob.is_power_law
+        and (prob.p != int(prob.p) or prob.p < 0 or (prob.A < 0 < prob.p and prob.u0 > 0))
         else None
     )
 

@@ -7,11 +7,12 @@ problem.  The public API is scalar: one float in, one float out.  Gamma
 and log-gamma are the standard library's math.gamma and math.lgamma.
 
 There is one private array entry point, `_ml_many(alpha, beta, z)`, for
-callers that need one (alpha, beta) pair at many z (`verify`'s
-resolvent check).  It runs the scalar ladder's series and asymptotic
-sums as lane-masked numpy loops over the term index, with the per-term
-Gamma values tabulated once per pair, and hands everything it does not
-batch to the scalar evaluator.  The integral representations share one
+callers that need one (alpha, beta) pair at many z < 0 (`verify`'s
+resolvent check).  For 0 < alpha < 1 it runs the scalar ladder's series
+and asymptotic sums at z < 0 as lane-masked numpy loops over the term
+index, with the per-term Gamma values tabulated once per pair, through
+the same gate functions as the scalar evaluator, and hands every other
+z to the scalar evaluator.  The integral representations share one
 panel quadrature over many rows (one row per integral): an adaptive
 16-point Gauss-Legendre rule per panel, with the 8-point rule on the
 same panel as its error estimate, that evaluates the integrand once per
@@ -209,9 +210,43 @@ _ML_TARGET = 1e-10
 # a z < 0 series sum whose estimate misses this goes on to the
 # asymptotic expansion or the cut integral
 _SERIES_TARGET = 1e-11
+# term cap of the Taylor and asymptotic sums where no tighter one is known
+_MAX_TERMS = 500
 
 
-def _ml_series(alpha: float, beta: float, z: float, max_terms: int = 500):
+# The ladder's gates, each defined once for the scalar `_ml` and the
+# array `_ml_many`; the tests on values take a float or an array.
+def _series_trusted(alpha: float, beta: float, z: float) -> bool:
+    # the z < 0 series is tried when eps times the largest term
+    # magnitude, which bounds the roundoff left after cancellation
+    # against an O(1) sum, stays below ~1e-12
+    az = abs(z)
+    nstar = max(0.0, (az ** (1.0 / alpha) - beta) / alpha)
+    if az <= 1.0 or nstar < 1.0:
+        return True
+    return nstar * math.log(az) - log_gamma(alpha * nstar + beta) <= _LOG_SERIES_OK
+
+
+def _series_kept(v, e, converged):
+    # a z < 0 series sum is kept when it converged within its target
+    return converged & (e <= _SERIES_TARGET * np.maximum(1.0, np.abs(v)))
+
+
+def _asymptotic_kept(v, e):
+    return e <= 1e-12 * np.maximum(np.abs(v), 1e-3)
+
+
+def _cut_valid(alpha: float, beta: float) -> bool:
+    # a margin below the beta < 1+alpha validity edge keeps the
+    # cut-integral substitution exponent bounded
+    return beta <= 1.0 + alpha - 0.0625
+
+
+def _cut_missed(v, e):
+    return e > _ML_TARGET * np.maximum(1.0, np.abs(v))
+
+
+def _ml_series(alpha: float, beta: float, z: float, max_terms: int = _MAX_TERMS):
     # Kahan-compensated Taylor sum; returns (value, err_est, converged).
     # Besides the summation roundoff, each term inherits the rounding
     # of its Gamma argument w = alpha*n + beta: |dw| <= EPS w moves
@@ -250,19 +285,7 @@ def _ml_series(alpha: float, beta: float, z: float, max_terms: int = 500):
     return s, est, n < max_terms
 
 
-def _series_cancel_logmax(alpha: float, beta: float, z: float) -> float:
-    # log of the largest term magnitude: eps times its exp bounds the
-    # roundoff left after cancellation against an O(1) sum
-    az = abs(z)
-    if az <= 1.0:
-        return 0.0
-    nstar = max(0.0, (az ** (1.0 / alpha) - beta) / alpha)
-    if nstar < 1.0:
-        return 0.0
-    return nstar * math.log(az) - log_gamma(alpha * nstar + beta)
-
-
-def _ml_asymptotic(alpha: float, beta: float, z: float, kmax: int = 500):
+def _ml_asymptotic(alpha: float, beta: float, z: float):
     # E ~ -sum_{k>=1} z^{-k} rgamma(beta - k alpha) for |z| -> inf.
     # Stop decisions use a smooth pole-free envelope (the reflection
     # magnitude with the sine factor dropped): raw terms graze Gamma
@@ -278,7 +301,7 @@ def _ml_asymptotic(alpha: float, beta: float, z: float, kmax: int = 500):
     lzi = -math.log(abs(z))
     prev_env = env = math.inf
     wmass = 0.0
-    for k in range(1, kmax + 1):
+    for k in range(1, _MAX_TERMS + 1):
         w = beta - k * alpha
         if w > 0.5:
             env = abs(zik) * rgamma(w)
@@ -498,23 +521,21 @@ def _ml(alpha: float, beta: float, z: float):
 
     if z < 0.0:
         x = -z
-        if _series_cancel_logmax(alpha, beta, z) <= _LOG_SERIES_OK:
+        if _series_trusted(alpha, beta, z):
             v, e, converged = _ml_series(alpha, beta, z)
-            if converged and e <= _SERIES_TARGET * max(1.0, abs(v)):
+            if _series_kept(v, e, converged):
                 return v, e
         if alpha == 1.0:
             return _ml_kummer_neg(beta, z)
         pair = _ml_exp_pair(alpha, beta, x) if alpha > 1.0 else 0.0
         v, e = _ml_asymptotic(alpha, beta, z)
-        if e <= 1e-12 * max(abs(v + pair), 1e-3):
+        if _asymptotic_kept(v + pair, e):
             return v + pair, e + 4.0 * EPS * abs(pair)
-        # keep a margin below the beta < 1+alpha validity edge so the
-        # cut-integral substitution exponent stays bounded
-        if beta <= 1.0 + alpha - 0.0625:
+        if _cut_valid(alpha, beta):
             iv, ie = _ml_cut_integral(alpha, beta, x)
             val = float(iv[0]) + pair
             est = float(ie[0]) + 4.0 * EPS * abs(pair)
-            if est > _ML_TARGET * max(1.0, abs(val)):
+            if _cut_missed(val, est):
                 raise _missed_target(alpha, beta, z, est)
             return val, est
         # beta reduction: E_{a,b}(z) = (E_{a,b-a}(z) - rgamma(b-a)) / z
@@ -563,10 +584,10 @@ def _ml(alpha: float, beta: float, z: float):
 
 
 @functools.lru_cache(maxsize=32)
-def _series_coeffs(alpha: float, beta: float, n: int):
-    # per term k < n, as _ml_series forms them: rgamma(w) and w for
-    # w = alpha*k + beta, and max(log w, 0) for the inherited rounding
-    w = [alpha * k + beta for k in range(n)]
+def _series_coeffs(alpha: float, beta: float):
+    # per term k < _MAX_TERMS, as _ml_series forms them: rgamma(w) and w
+    # for w = alpha*k + beta, and max(log w, 0) for the inherited rounding
+    w = [alpha * k + beta for k in range(_MAX_TERMS)]
     table = (
         np.array([rgamma(v) for v in w]),
         np.array(w),
@@ -578,36 +599,33 @@ def _series_coeffs(alpha: float, beta: float, n: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _asymptotic_coeffs(alpha: float, beta: float, kmax: int = 500):
-    # per k = 1..kmax, as _ml_asymptotic forms them from w = beta - k alpha:
+def _asymptotic_coeffs(alpha: float, beta: float):
+    # per k = 1.._MAX_TERMS, as _ml_asymptotic forms them from w = beta - k alpha:
     # rgamma(w), log_gamma(1 - w) where the envelope needs it (w <= 0.5,
     # else None), k alpha + |w| and log1p(|w| + beta) + 5.2
     out = []
-    for k in range(1, kmax + 1):
+    for k in range(1, _MAX_TERMS + 1):
         w = beta - k * alpha
         lg = log_gamma(1.0 - w) if w <= 0.5 else None
         out.append((k, rgamma(w), lg, k * alpha + abs(w), math.log1p(abs(w) + beta) + 5.2))
     return tuple(out)
 
 
-def _ml_series_lanes(alpha: float, beta: float, z: np.ndarray, max_terms: np.ndarray):
-    # _ml_series at every z, each lane with its own max_terms; returns
-    # arrays (values, estimates, converged)
+def _ml_series_lanes(alpha: float, beta: float, z: np.ndarray):
+    # _ml_series at every z; returns arrays (values, estimates, converged)
     n_lanes = z.size
     val = np.empty(n_lanes)
     est = np.empty(n_lanes)
     converged = np.zeros(n_lanes, dtype=bool)
     if n_lanes == 0:
         return val, est, converged
-    need = int(max_terms.max())
-    rgs, ws, logws = _series_coeffs(alpha, beta, -(-need // 512) * 512)
+    rgs, ws, logws = _series_coeffs(alpha, beta)
     lane = np.arange(n_lanes)
-    zl, cap = z, max_terms
+    zl = z
     s, c, term_max, mass, wmass = (np.zeros(n_lanes) for _ in range(5))
     zn = np.ones(n_lanes)
-    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while lane.size:
+        for n in range(_MAX_TERMS):
             t = zn * rgs[n]
             at = np.abs(t)
             term_max = np.maximum(term_max, at)
@@ -620,7 +638,7 @@ def _ml_series_lanes(alpha: float, beta: float, z: np.ndarray, max_terms: np.nda
             stop = (at <= EPS * np.abs(s)) & (n > 2)
             zn = zn * zl
             blown = ~stop & ~np.isfinite(zn)
-            ends = stop | (~blown & (n + 1 >= cap))
+            ends = stop | (~blown & (n + 1 == _MAX_TERMS))
             done = ends | blown
             if done.any():
                 val[lane[done]] = s[done]
@@ -631,9 +649,10 @@ def _ml_series_lanes(alpha: float, beta: float, z: np.ndarray, max_terms: np.nda
                 est[lane[blown]] = math.inf
                 converged[lane[stop]] = True
                 go = ~done
-                lane, zl, cap, zn = lane[go], zl[go], cap[go], zn[go]
+                lane, zl, zn = lane[go], zl[go], zn[go]
                 s, c, term_max, mass, wmass = s[go], c[go], term_max[go], mass[go], wmass[go]
-            n += 1
+                if not lane.size:
+                    break
     return val, est, converged
 
 
@@ -653,7 +672,6 @@ def _ml_asymptotic_lanes(alpha: float, beta: float, z: np.ndarray):
     prev_env = np.full(n_lanes, math.inf)
     sine = abs(_sinpi(alpha)) if math.cos(math.pi * alpha) < 0.0 else 1.0
     coeffs = _asymptotic_coeffs(alpha, beta)
-    kmax = len(coeffs)
     with np.errstate(over="ignore"):
         for k, rg, lg, kw, log_w in coeffs:
             if lg is None:
@@ -667,7 +685,7 @@ def _ml_asymptotic_lanes(alpha: float, beta: float, z: np.ndarray):
             wmass = np.where(rising, wmass, wmass + kw * env)
             prev_env = env
             zik = zik / zl
-            done = rising | (env <= EPS * np.abs(s)) | (zik == 0.0) | (k == kmax)
+            done = rising | (env <= EPS * np.abs(s)) | (zik == 0.0) | (k == _MAX_TERMS)
             if done.any():
                 val[lane[done]] = s[done]
                 est[lane[done]] = tail[done] / sine + EPS * (
@@ -684,60 +702,39 @@ def _ml_asymptotic_lanes(alpha: float, beta: float, z: np.ndarray):
 def _ml_many(alpha: float, beta: float, z: np.ndarray):
     """E_{alpha,beta} and its error estimate at every entry of the 1-D array z.
 
-    Returns arrays (values, estimates).  The same ladder as `_ml`, in the
-    same order and with the same gates, run over whole arrays for
-    0 < alpha < 1: the Taylor series lanes, then the asymptotic lanes,
-    then one batched cut integral for the z < 0 left over.  Everything
-    else goes through `_ml` one z at a time: alpha >= 1, the beta
-    reduction, and z > 0 past the Taylor series.  Raises
-    AccuracyLossError where `_ml` would.
+    Returns arrays (values, estimates).  For 0 < alpha < 1 the z < 0
+    entries run `_ml`'s ladder over whole arrays, in the same order and
+    through the same gates: the Taylor series lanes, then the asymptotic
+    lanes, then one batched cut integral for the z left over.  Every
+    other entry goes through `_ml` one z at a time: z >= 0, alpha >= 1,
+    and the beta reduction.  Raises AccuracyLossError where `_ml` would.
     """
     z = np.asarray(z, dtype=float)
     val = np.empty(z.size)
     est = np.empty(z.size)
-    scalar = []
-    if 0.0 < alpha < 1.0:
-        series, max_terms, far = [], [], []
-        for i, zi in enumerate(z.tolist()):
-            if zi < 0.0:
-                if _series_cancel_logmax(alpha, beta, zi) <= _LOG_SERIES_OK:
-                    series.append(i)
-                    max_terms.append(500)
-                else:
-                    far.append(i)
-            elif zi > 0.0:
-                w = zi ** (1.0 / alpha)
-                if w <= 77.5:
-                    series.append(i)
-                    max_terms.append(int((w + 9.0 * math.sqrt(w + 1.0)) / alpha) + 80)
-                else:
-                    scalar.append(i)
-            else:
-                val[i], est[i] = rgamma(beta), EPS
-        series = np.array(series, dtype=np.intp)
-        v, e, converged = _ml_series_lanes(alpha, beta, z[series], np.array(max_terms))
-        neg = z[series] < 0.0
-        good = converged & (~neg | (e <= _SERIES_TARGET * np.maximum(1.0, np.abs(v))))
-        val[series[good]], est[series[good]] = v[good], e[good]
-        scalar += series[~good & ~neg].tolist()
+    lanes = z < 0.0 if 0.0 < alpha < 1.0 else np.zeros(z.size, dtype=bool)
+    neg, scalar = np.flatnonzero(lanes), np.flatnonzero(~lanes)
+    trusted = np.array([_series_trusted(alpha, beta, v) for v in z[neg].tolist()], bool)
+    series = neg[trusted]
+    v, e, converged = _ml_series_lanes(alpha, beta, z[series])
+    good = _series_kept(v, e, converged)
+    val[series[good]], est[series[good]] = v[good], e[good]
 
-        far = np.concatenate([np.array(far, dtype=np.intp), series[~good & neg]])
-        v, e = _ml_asymptotic_lanes(alpha, beta, z[far])
-        good = e <= 1e-12 * np.maximum(np.abs(v), 1e-3)
-        val[far[good]], est[far[good]] = v[good], e[good]
-        rest = far[~good]
-        if beta <= 1.0 + alpha - 0.0625 and rest.size:
-            v, e = _ml_cut_integral(alpha, beta, -z[rest])
-            miss = np.flatnonzero(e > _ML_TARGET * np.maximum(1.0, np.abs(v)))
-            if miss.size:
-                i = miss[0]
-                raise _missed_target(alpha, beta, float(z[rest[i]]), float(e[i]))
-            val[rest], est[rest] = v, e
-        else:
-            scalar += rest.tolist()
+    far = np.concatenate([neg[~trusted], series[~good]])
+    v, e = _ml_asymptotic_lanes(alpha, beta, z[far])
+    good = _asymptotic_kept(v, e)
+    val[far[good]], est[far[good]] = v[good], e[good]
+    rest = far[~good]
+    if _cut_valid(alpha, beta) and rest.size:
+        v, e = _ml_cut_integral(alpha, beta, -z[rest])
+        miss = np.flatnonzero(_cut_missed(v, e))
+        if miss.size:
+            i = miss[0]
+            raise _missed_target(alpha, beta, float(z[rest[i]]), float(e[i]))
+        val[rest], est[rest] = v, e
     else:
-        scalar = range(z.size)
-    for i in scalar:
+        scalar = np.concatenate([scalar, rest])
+    for i in scalar.tolist():
         val[i], est[i] = _ml(alpha, beta, float(z[i]))
     return val, est
 

@@ -153,7 +153,6 @@ class _TwinPair(NamedTuple):
     nodes: np.ndarray  # the node prefix both paths resolved
     va: np.ndarray
     vb: np.ndarray
-    lipschitz: float  # probed over the inflated hull of both paths
 
 
 def _solve_twin_pair(
@@ -162,11 +161,7 @@ def _solve_twin_pair(
     mesh = _mesh_for(gamma, T, n)
     a = solve(FracProblem.from_rhs(gamma, expr, u10, T), mesh)
     b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
-    nodes, va, vb = _common_window(a, b)
-    lip = _probe_lipschitz(expr, T, va, vb)
-    if not math.isfinite(lip):
-        raise ValueError("right-hand side failed the Lipschitz probe")
-    return _TwinPair(mesh, nodes, va, vb, lip)
+    return _TwinPair(mesh, *_common_window(a, b))
 
 
 def _margin_report(margins: np.ndarray) -> ComparisonReport:
@@ -237,6 +232,9 @@ def _stability_report(
     expr: Expr, gamma: float, gap0: float, pair: _TwinPair
 ) -> StabilityReport:
     nodes, va, vb = pair.nodes, pair.va, pair.vb
+    lip = _probe_lipschitz(expr, pair.mesh.horizon, va, vb)
+    if not math.isfinite(lip):
+        raise ValueError("right-hand side failed the Lipschitz probe")
     diff = vb - va
     y = diff / gap0
     under = np.abs(diff) < 1e-13 * abs(gap0)
@@ -260,7 +258,7 @@ def _stability_report(
 
     # E_gamma is >= 1 on [0, inf), so only nodes with y > 1 can strain
     # the envelope; saturation to inf upstream reads as a pass
-    scale = pair.lipschitz * gamma_fn(gamma)
+    scale = lip * gamma_fn(gamma)
     envelope_ok = True
     for i in np.flatnonzero(kept & (y > 1.0)):
         env = mittag_leffler(MLQuery(alpha=gamma, z=scale * float(nodes[i]) ** gamma))
@@ -273,7 +271,7 @@ def _stability_report(
         min_y=float(y[kept].min()),
         sup_ratio=float(np.abs(y[kept]).max()),
         ml_envelope_ok=envelope_ok,
-        lipschitz=pair.lipschitz,
+        lipschitz=lip,
         eq_residual=eq_residual,
         underflow_nodes=tuple(int(i) for i in np.flatnonzero(under)),
     )

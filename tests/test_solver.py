@@ -24,6 +24,7 @@ import pytest
 from oracles import KERNEL_RTOL, list_history_weights
 
 from fracode import solver
+from fracode.asymptotics import blowup_constant_theory
 from fracode.expressions import EvalError, evaluate, parse
 from fracode.fracops import Mesh, default_grading
 from fracode.solver import (
@@ -307,6 +308,16 @@ class TestTruncation:
         assert path.status is PathStatus.COMPLETED
         assert path.values[-1] < 0.0
 
+    def test_decay_at_long_horizons_keeps_the_positive_root(self):
+        # past t ~ 4e5 the corrector's quadratic has two roots and the
+        # first bracket holds both; bracketing on u > 0, where the
+        # comparison principle keeps the path, picks the right one
+        prob = FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1e6)
+        path = solve(prob, Mesh.geometric(1e6, 8192, 1e-3))
+        assert path.status is PathStatus.COMPLETED
+        assert path.values.size == 8193
+        assert np.all(path.values > 0.0)
+
 
 class TestDetectBlowup:
     def test_reference_case(self):
@@ -334,6 +345,24 @@ class TestDetectBlowup:
             abs(report.constant_fit - report.theory_constant)
             <= 0.10 * report.theory_constant
         )
+
+    def test_bracket_fallback_keeps_the_fit(self, monkeypatch):
+        # at p = 4 two corrector sweeps lose the root once and the
+        # bracket takes over; the fit still meets criterion 3
+        calls = []
+        inner = solver._bracket_solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_bracket_solve", spy)
+        report = detect_blowup(FracProblem.power_law(0.5, 1.0, 4.0, 1.0, 1.0), u_max=1e4)
+        assert calls
+        want = 0.5 / 3.0
+        assert abs(report.exponent_fit - want) <= 0.03 * want
+        theory = blowup_constant_theory(1.0, 4.0, 0.5)
+        assert abs(report.constant_fit - theory) <= 0.10 * theory
 
     def test_amplitude_scaling_of_the_constant(self):
         report = detect_blowup(FracProblem.power_law(0.5, 2.0, 2.0, 1.0, 1.0))
