@@ -6,8 +6,8 @@ Everything runs through the equivalent Volterra form
 
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
-corrector, fixed-point corrector sweeps that stop once the update
-stalls at roundoff (capped, no Newton).  `solve`, both adaptive
+corrector, solved to roundoff by secant steps with a bracket fallback
+(`_corrector`, in `solve` and `detect_blowup`).  `solve`, both adaptive
 marches and `fracops.frac_integral` share one Volterra history,
 `_History`: preallocated numpy buffers that grow by doubling, handed
 to the exact kernel moments of fracops as slices.
@@ -36,7 +36,7 @@ import numpy as np
 
 from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
 from fracode.fracops import Mesh, SampledFn, _trapezoid_moments
-from fracode.specfun import gamma_fn
+from fracode.specfun import EPS, gamma_fn
 
 __all__ = [
     "FracProblem",
@@ -152,16 +152,15 @@ def _upow(u: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    corrector_sweeps: int = 8  # cap; each step exits once the update stalls
     positivity_guard: bool = False
-
-    def __post_init__(self):
-        if self.corrector_sweeps < 1:
-            raise ValueError("corrector_sweeps must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
+    """A marched path.  `corrector_iterations` counts rhs evaluations of
+    the corrector, the accepted one included (`solve`, `detect_blowup`),
+    or of the Newton root search (`detect_extinction`)."""
+
     mesh: Mesh
     values: np.ndarray
     corrector_iterations: int
@@ -180,28 +179,47 @@ class SolutionPath:
         return SampledFn(self.mesh, self.values)
 
 
-def _fixed_point_step(f, tn, hist, w, x0, sweeps):
-    # returns (x, n_iters, diverging); exits early once the update is
-    # below roundoff or starts growing (the bracket fallback takes over)
-    x = x0
-    prev_delta = math.inf
-    delta = math.inf
-    used = 0
-    for _ in range(sweeps):
-        x_new = hist + w * f(tn, x)
-        used += 1
-        prev_delta, delta = delta, abs(x_new - x)
-        x = x_new
-        if not math.isfinite(x):
-            break
-        if delta <= 1e-14 * (abs(x) + 1.0) or delta > prev_delta:
-            break
-    scale = abs(x) + 1.0
-    diverging = (
-        not math.isfinite(x)
-        or (delta > prev_delta and delta > 1e-12 * scale)
-    )
-    return x, used, diverging
+def _corrector(f, tn, hist, w, x0, lo_limit):
+    # root of phi(x) = x - hist - w f(tn, x) by secant steps from the
+    # predictor x0 and its first fixed-point sweep; stops once |phi| is
+    # at roundoff or a step no longer moves x.  A failed evaluation, a
+    # step out of (lo_limit, inf), a slope <= 0 (past the fold, off the
+    # march's branch) or 30 steps hand over to _bracket_solve.  Returns
+    # (x, f(tn, x), evaluations): (nan, nan, .) if the bracket finds no
+    # root, (root, nan, .) if the rhs fails at the bracket's root
+    lo = -math.inf if lo_limit is None else lo_limit
+    x, slope, evals = x0, 1.0, 0
+    try:
+        for _ in range(30):
+            fx = f(tn, x)
+            evals += 1
+            r = x - hist - w * fx
+            if abs(r) <= 4.0 * EPS * (abs(x) + abs(hist)):
+                return x, fx, evals
+            if evals > 1:
+                slope = (r - r_prev) / (x - x_prev)
+            if not slope > 0.0:
+                break
+            x_prev, r_prev, x = x, r, x - r / slope
+            if x == x_prev:
+                return x, fx, evals
+            if not lo < x < math.inf:
+                break
+    except EvalError:
+        pass
+
+    def counted(t, u):
+        nonlocal evals
+        evals += 1
+        return f(t, u)
+
+    x, ok = _bracket_solve(counted, tn, hist, w, x0, lo_limit)
+    if not ok:
+        return math.nan, math.nan, evals
+    try:
+        return x, f(tn, x), evals + 1
+    except EvalError:
+        return x, math.nan, evals + 1
 
 
 def _bracket_solve(f, tn, hist, w, x0, lo_limit=None):
@@ -409,27 +427,15 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
 
     for n in range(1, t.size):
         pred, hval, w = hist.weights(t[n])
-        try:
-            x, used, diverging = _fixed_point_step(
-                prob.f, t[n], hval, w, pred, opts.corrector_sweeps
-            )
-            iters += used
-        except EvalError:
-            x, diverging = pred, True
-        if diverging:
-            x, ok = _bracket_solve(prob.f, t[n], hval, w, pred, lo_limit=lo_limit)
-            if not ok or not math.isfinite(x):
-                return truncated(escape_status())
+        x, fx, used = _corrector(prob.f, t[n], hval, w, pred, lo_limit)
+        iters += used
         if not math.isfinite(x) or abs(x) > 1e300:
             return truncated(escape_status())
         if opts.positivity_guard and x <= 0.0:
             return truncated(PathStatus.EXTINCTION_SUSPECTED)
-        try:
-            fx = prob.f(t[n], x)
-        except EvalError:
-            hist.accept(x, math.nan)  # keep the state; the march ends here
+        hist.accept(x, fx)  # a nan fx keeps the state; the march ends here
+        if math.isnan(fx):
             return truncated(escape_status())
-        hist.accept(x, fx)
     return SolutionPath(mesh, hist.u, iters, PathStatus.COMPLETED)
 
 
@@ -526,17 +532,11 @@ def detect_blowup(
                 t_next = t_n + h
                 try:
                     pred, hval, w = hist.weights(t_next)
-                    x, used, diverging = _fixed_point_step(
-                        prob.f, t_next, hval, w, pred, 2
-                    )
+                    x, fx, used = _corrector(prob.f, t_next, hval, w, pred, 0.0)
                     iters += used
-                    if diverging:
-                        x, ok = _bracket_solve(prob.f, t_next, hval, w, pred, lo_limit=0.0)
-                        if not ok:
-                            raise EvalError("corrector lost its root", 0)
-                    if not math.isfinite(x) or x <= 0.0:
-                        raise EvalError("state escaped", 0)
-                    hist.accept(x, prob.f(t_next, x))
+                    if not (x > 0.0 and math.isfinite(x) and math.isfinite(fx)):
+                        raise EvalError("corrector lost its root", 0)
+                    hist.accept(x, fx)
                     accepted = True
                     break
                 except EvalError:

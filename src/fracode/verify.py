@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,6 +149,7 @@ def _probe_lipschitz(expr: Expr, T: float, *value_arrays) -> float:
 class _TwinPair(NamedTuple):
     """One equation solved from two starts on a shared mesh."""
 
+    f: Callable[[float, float], float]  # the solved problem's rhs
     mesh: Mesh
     nodes: np.ndarray  # the node prefix both paths resolved
     va: np.ndarray
@@ -159,9 +160,10 @@ def _solve_twin_pair(
     expr: Expr, gamma: float, u10: float, u20: float, T: float, n: int
 ) -> _TwinPair:
     mesh = _mesh_for(gamma, T, n)
-    a = solve(FracProblem.from_rhs(gamma, expr, u10, T), mesh)
+    prob = FracProblem.from_rhs(gamma, expr, u10, T)
+    a = solve(prob, mesh)
     b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
-    return _TwinPair(mesh, *_common_window(a, b))
+    return _TwinPair(prob.f, mesh, *_common_window(a, b))
 
 
 def _margin_report(margins: np.ndarray) -> ComparisonReport:
@@ -242,7 +244,7 @@ def _stability_report(
     kept = ~under
 
     # v(s) = -(f(s,u2)-f(s,u1)) / ((u2-u1) Gamma(gamma)), 0 on underflow
-    rhs = compile_expr(expr)
+    rhs = pair.f
     inv_g = 1.0 / gamma_fn(gamma)
     v = np.zeros_like(y)
     for i in range(nodes.size):

@@ -135,7 +135,7 @@ class TestSolveExact:
         path = solve(prob, Mesh.uniform(1.0, 64))
         assert path.status is PathStatus.COMPLETED
         assert np.all(path.values == 3.0)
-        # a zero rhs converges in a single sweep per step
+        # the predictor solves a zero rhs's corrector: one evaluation per step
         assert path.corrector_iterations == 64
 
     def test_constant_rhs_reproduces_power_kernel(self):
@@ -255,17 +255,12 @@ class TestSolveProperties:
         assert fn.mesh is path.mesh
         assert np.array_equal(fn.values, path.values)
 
-    def test_single_sweep_is_allowed(self):
-        prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
-        mesh = Mesh.uniform(1.0, 512)
-        path = solve(prob, mesh, SolverOptions(corrector_sweeps=1))
-        err = np.abs(path.values - ml_linear(0.5, -1.0, mesh.nodes)).max()
+    def test_corrector_takes_few_evaluations_per_step(self):
+        # secant steps to roundoff take about 3 rhs evaluations per step
+        # here, the accepted one included
+        path = solve(FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0), Mesh.graded(1.0, 4096, 4.0))
         assert path.status is PathStatus.COMPLETED
-        assert err < 1e-2
-
-    def test_zero_sweeps_rejected(self):
-        with pytest.raises(ValueError):
-            SolverOptions(corrector_sweeps=0)
+        assert path.corrector_iterations <= 4 * 4096
 
 
 class TestTruncation:
@@ -311,12 +306,15 @@ class TestTruncation:
     def test_decay_at_long_horizons_keeps_the_positive_root(self):
         # past t ~ 4e5 the corrector's quadratic has two roots and the
         # first bracket holds both; bracketing on u > 0, where the
-        # comparison principle keeps the path, picks the right one
+        # comparison principle keeps the path, picks the right one.
+        # Where w |f'| nears 1 only a converged corrector keeps the
+        # decay monotone
         prob = FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1e6)
         path = solve(prob, Mesh.geometric(1e6, 8192, 1e-3))
         assert path.status is PathStatus.COMPLETED
         assert path.values.size == 8193
         assert np.all(path.values > 0.0)
+        assert np.all(np.diff(path.values) <= 0.0)
 
 
 class TestDetectBlowup:
@@ -347,8 +345,9 @@ class TestDetectBlowup:
         )
 
     def test_bracket_fallback_keeps_the_fit(self, monkeypatch):
-        # at p = 4 two corrector sweeps lose the root once and the
-        # bracket takes over; the fit still meets criterion 3
+        # at p = 4 some steps are too long for the convex rhs: the secant
+        # meets the fold (slope <= 0), the bracket finds no root and the
+        # march cuts the step; the fit still meets criterion 3
         calls = []
         inner = solver._bracket_solve
 

@@ -162,6 +162,14 @@ class TestStabilityExperiment:
         assert rep.ml_envelope_ok
         assert rep.eq_residual < 1e-3
 
+    def test_corpus_meets_the_variation_of_constants_identity(self):
+        # solve and frac_integral share the product-trapezoid weights, so
+        # y + Gamma(gamma) J^gamma(v y) = 1 holds to roundoff once every
+        # corrector step is solved; an unconverged corrector shows here
+        for prob in corpus_problems(CORPUS_SEED, 4):
+            rep = stability_experiment(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=256)
+            assert rep.eq_residual <= 1e-12
+
     @pytest.mark.parametrize("f", ["-1*u", "u", "sin(u)"])
     def test_ratio_starts_at_one(self, f):
         rep = stability_experiment(f, 0.5, 0.5, 1.0, n=64)
