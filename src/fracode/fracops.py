@@ -14,13 +14,17 @@ share one kernel, `_trapezoid_moments`: three transcendental passes
 per cell, log1p(h/y), P = y^gamma and d0 = P expm1(gamma log1p(h/y))
 with y = t_n - t_{j+1} > 0, since x^(gamma+1) - y^(gamma+1) = x d0 + h P
 gives the first moment; the tip cell (y = 0) is one scalar power.
-History sums are still direct O(N^2); at the desk scale (N up to a
-few times 2^13) that runs in seconds and keeps summation order fixed,
-hence bitwise deterministic results.
+On meshes of at least _SOE_MIN_NODES nodes both operators take the
+cells behind the tip from node _SOE_START on out of a sum of
+exponentials (`_soe`, `_FarHistory`), O(N K) instead of the direct
+O(N^2) sums; shorter meshes and the first _SOE_START nodes stay
+direct.  Summation order is fixed on both paths, so results are
+bitwise deterministic; the two paths agree to rounding, not bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +159,138 @@ def _trapezoid_moments(gamma: float, tn: float, t: np.ndarray, h: np.ndarray | N
     return d0, P, float(h[-1]) ** gamma
 
 
+# --- sum-of-exponentials far history -------------------------------------
+
+# A march over a known mesh of at least _SOE_MIN_NODES nodes serves node
+# _SOE_START on from exponential modes; shorter meshes, and the start,
+# stay direct.  On a 2-vCPU x86_64 machine the modes break even at
+# 1,000-1,500 nodes and at 2,048 save about 30 % of `solve` and 5-15 %
+# of `frac_integral` and `caputo_l1`; below 2,048 (the corpus's n = 256,
+# `verify resolvent --n 1024`) every march keeps the direct path's bits
+_SOE_MIN_NODES = 2048
+_SOE_START = 512
+_SOE_BLOCK = 64  # mesh rows formed at once
+_SOE_CUT = 45.0  # exp(-45) ~ 3e-20: modes with s delta >= 45 are dropped
+
+
+def _gauss(diag: np.ndarray, off: np.ndarray):
+    # Golub-Welsch: nodes of a Gauss rule from its Jacobi matrix, and the
+    # first eigenvector components squared (weights over the total mass)
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, vec[0] ** 2
+
+
+def _soe(gamma: float, delta: float, T: float):
+    # (s, w) with tau^(gamma-1) = sum w exp(-s tau) to 1.6e-14 relative on
+    # [delta, T] (measured for gamma in [0.2, 0.8]), from
+    # Gamma(b) tau^-b = int_0^inf exp(-s tau) s^(b-1) ds, b = 1 - gamma:
+    # 12-point Gauss-Jacobi for the weight s^(b-1) on [0, 8/T], then
+    # 24-point Gauss-Legendre in log s on panels of ratio 64 up to
+    # 45/delta (Beylkin & Monzon, ACHA 28, 2010).  Both rules come from
+    # eigh; numpy.polynomial's leggauss would cost 0.75 MiB to import
+    b = 1.0 - gamma
+    c = b - 1.0  # Jacobi (0, c) on [-1, 1], mapped to [0, a]
+    m = np.arange(1.0, 12.0)
+    k = 2.0 * m + c
+    x, v = _gauss(
+        np.concatenate(([c / (c + 2.0)], c * c / (k * (k + 2.0)))),
+        2.0 * m * (m + c) / (k * np.sqrt((k + 1.0) * (k - 1.0))),
+    )
+    m = np.arange(1.0, 24.0)
+    y, wy = _gauss(np.zeros(24), m / np.sqrt(4.0 * m * m - 1.0))
+    a = 8.0 / T
+    width = math.log(64.0)
+    panels = max(1, math.ceil(math.log(_SOE_CUT / (a * delta)) / width))
+    logs = math.log(a) + width * (np.arange(panels)[:, None] + 0.5 * (1.0 + y))
+    s = np.concatenate((0.5 * a * (1.0 + x), np.exp(logs).ravel()))
+    w = np.concatenate((a**b / b * v, (width * wy * np.exp(b * logs)).ravel()))
+    keep = s * delta < _SOE_CUT
+    return s[keep], w[keep] / gamma_fn(b)
+
+
+# Taylor coefficients of A/h and B/h below z = 0.05, where their closed
+# forms cancel: sum (-1)^m (m+1) z^m / (m+2)! and sum (-z)^m / (m+2)!
+_HAT_A = np.array([(-1) ** m * (m + 1) / math.factorial(m + 2) for m in range(10)])[::-1]
+_HAT_B = np.array([(-1) ** m / math.factorial(m + 2) for m in range(10)])[::-1]
+
+
+def _soe_rows(s: np.ndarray, w: np.ndarray, h: np.ndarray):
+    # per cell of width h (rows) and mode (columns): the decay e = exp(-z),
+    # z = s h, and w times the integrals A, B of exp(-s (h - sigma)) over
+    # the cell against the hats 1 - sigma/h and sigma/h:
+    # A = h (1 - e - z e)/z^2 and B = h (z - 1 + e)/z^2
+    z = np.multiply.outer(h, s)
+    e = np.exp(-z)
+    zc = np.maximum(z, 0.05)  # the closed forms, finite but unused below 0.05
+    em = -np.expm1(-zc)
+    a = (em - zc * e) / (zc * zc)
+    b = (zc - em) / (zc * zc)
+    small = z < 0.05
+    zs = z[small]
+    a[small] = np.polyval(_HAT_A, zs)
+    b[small] = np.polyval(_HAT_B, zs)
+    hw = np.multiply.outer(h, w)
+    return e, a * hw, b * hw
+
+
+class _FarHistory:
+    """The far part of a product-trapezoid kernel sum on a known mesh.
+
+    The kernel tau^(gamma-1) is a sum of exponential modes on [delta, T]
+    (`_soe`), delta the smallest step from node _SOE_START on and T the
+    horizon, so the integral over every cell before the tip cell is one
+    vector H of mode values that each accepted cell updates in place:
+    H <- e H + f_left w A + f_right w B (Jiang, Zhang, Zhang & Zhang,
+    Commun. Comput. Phys. 21, 2017).  `far(n)` is that integral at t_n
+    over the cells ending at nodes 1..n-1, for n >= _SOE_START; `start`
+    absorbs the cells ending at nodes 1.._SOE_START-1 and `absorb(n, ...)`
+    the cell ending at node n.  Rows come _SOE_BLOCK cells at a time.
+    """
+
+    def __init__(self, gamma: float, t: np.ndarray):
+        self._h = np.diff(t)
+        self.s, self.w = _soe(gamma, float(self._h[_SOE_START - 1 :].min()), float(t[-1]))
+        self._lo = self._hi = 0  # nodes whose rows are held
+
+    def _rows(self, lo: int, hi: int):
+        # rows of the cells ending at nodes lo..hi-1
+        return _soe_rows(self.s, self.w, self._h[lo - 1 : hi - 1])
+
+    def _row(self, n: int):
+        if not self._lo <= n < self._hi:
+            self._lo, self._hi = n, min(n + _SOE_BLOCK, self._h.size + 1)
+            self._e, self._wa, self._wb = self._rows(self._lo, self._hi)
+        i = n - self._lo
+        return self._e[i], self._wa[i], self._wb[i]
+
+    def start(self, left: np.ndarray, right: np.ndarray):
+        # cells ending at nodes 1.._SOE_START-1 with end values left, right;
+        # each chunk decays to its last node by the products of later e's
+        H = np.zeros(self.s.size)
+        for lo in range(1, _SOE_START, _SOE_BLOCK):
+            hi = min(lo + _SOE_BLOCK, _SOE_START)
+            e, wa, wb = self._rows(lo, hi)
+            tail = np.ones_like(e)
+            tail[:-1] = np.cumprod(e[:0:-1], axis=0)[::-1]
+            H = tail[0] * e[0] * H + left[lo - 1 : hi - 1] @ (tail * wa)
+            H += right[lo - 1 : hi - 1] @ (tail * wb)
+        self.H = H
+
+    def far(self, n: int) -> float:
+        return float(np.dot(self._row(n)[0], self.H))
+
+    def absorb(self, n: int, left: float, right: float):
+        e, wa, wb = self._row(n)
+        self.H *= e
+        self.H += left * wa
+        self.H += right * wb
+
+
+def _far_history(gamma: float, t: np.ndarray) -> _FarHistory | None:
+    """Modes for a march over the known nodes t, or None: short meshes stay direct."""
+    return _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
+
+
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     """Riemann-Liouville integral (J^gamma g)(t) on g's own mesh.
 
@@ -168,7 +304,7 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
 
     t = g.mesh.nodes
     v = g.values
-    hist = _History(gamma, 0.0, v[0], cap=t.size)
+    hist = _History(gamma, 0.0, v[0], nodes=t)
     out = np.zeros(t.size)
     for n in range(1, t.size):
         _, base, w = hist.weights(t[n])
@@ -195,7 +331,16 @@ def caputo_l1(gamma: float, u: SampledFn, u0: float) -> SampledFn:
     q = 1.0 - gamma
     inv_g2 = 1.0 / gamma_fn(2.0 - gamma)
     out = np.zeros(t.size)
+    # x^q - y^q = q int tau^(-gamma) over a cell: the far modes take the
+    # constant slope at both ends of each cell
+    far = _far_history(q, t)
     for n in range(1, t.size):
+        if far is not None and n >= _SOE_START:
+            if n == _SOE_START:
+                far.start(slopes, slopes)
+            out[n] = inv_g2 * (q * far.far(n) + slopes[n - 1] * h[n - 1] ** q)
+            far.absorb(n, slopes[n - 1], slopes[n - 1])
+            continue
         d, _, tip = _trapezoid_moments(q, t[n], t[: n + 1], h[:n])
         out[n] = inv_g2 * (np.dot(slopes[: n - 1], d) + slopes[n - 1] * tip)
     return SampledFn(u.mesh, out)

@@ -10,9 +10,14 @@ corrector, solved to roundoff by secant steps with a bracket fallback
 (`_corrector`, in `solve` and `detect_blowup`).  `solve`, both adaptive
 marches and `fracops.frac_integral` share one Volterra history,
 `_History`: preallocated numpy buffers that grow by doubling, handed
-to the exact kernel moments of fracops as slices.
-History sums stay direct O(N^2) in a fixed order, so the scheme is
-deterministic down to the bit for identical inputs.
+to the exact kernel moments of fracops as slices.  On a known mesh of
+at least `fracops._SOE_MIN_NODES` nodes (`solve`, `frac_integral`) the
+cells behind the tip come from sum-of-exponentials modes from node
+`fracops._SOE_START` on, O(N K) per march with K ~ 100-200 modes;
+the adaptive marches, whose steps are not known ahead, and shorter
+meshes keep the direct O(N^2) sums.  Both paths sum in a fixed order,
+so a rerun is bitwise identical; they agree with each other to
+rounding, not bit for bit.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
@@ -35,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
-from fracode.fracops import Mesh, SampledFn, _trapezoid_moments
+from fracode.fracops import _SOE_START, Mesh, SampledFn, _far_history, _trapezoid_moments
 from fracode.specfun import EPS, gamma_fn
 
 __all__ = [
@@ -319,16 +324,23 @@ class _History:
     returns the Adams coefficients for it; `accept(u, f)` keeps the node
     of the last `weights` call, up to `cap` nodes, caching the increment
     df and slope df/h of f on the cell it closes.  `solve` marches a
-    fixed mesh the same way, node by node, with the mesh size as cap.
-    The kernel sees slices of the buffers, never rebuilt arrays, and the
-    sums stay the direct O(N^2) ones in a fixed order.
+    fixed mesh the same way, node by node, with its `nodes` given ahead:
+    the mesh size is the cap, and a long mesh takes the far history from
+    `fracops._FarHistory` from node _SOE_START on (one dot per `weights`,
+    one update of the modes per `accept`); the predictor then takes the
+    corrector's far part.  Otherwise the kernel sees slices of the
+    buffers, never rebuilt arrays, and the sums are the direct O(N^2)
+    ones in a fixed order.
     """
 
-    def __init__(self, gamma: float, u0: float, f0: float, cap: int = 200_000):
+    def __init__(
+        self, gamma: float, u0: float, f0: float, cap: int = 200_000, nodes: np.ndarray | None = None
+    ):
         self.gamma = gamma
         self.u0 = u0
         self.inv_g = 1.0 / gamma_fn(gamma)
-        self.cap = cap
+        self.cap = cap if nodes is None else nodes.size
+        self._far = None if nodes is None else _far_history(gamma, nodes)
         self._t = np.zeros(_HISTORY_START)
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
@@ -363,13 +375,21 @@ class _History:
         self._t[n] = t_next
         self._h[k] = t_next - self._t[k]
         g = self.gamma
+        fk = float(self._f[k])
+        if self._far is not None and n >= _SOE_START:
+            if n == _SOE_START:
+                self._far.start(self._f[:k], self._f[1:n])
+            far = self._far.far(n)
+            tip = float(self._h[k]) ** g
+            pred = self.u0 + self.inv_g * (far + fk * tip / g)
+            hist = self.u0 + self.inv_g * (far + fk * tip / (g + 1.0))
+            return pred, hist, self.inv_g * tip / (g * (g + 1.0))
         d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
         # f_j M0 + s_j M1 over the accepted cells (f_j M0 shared with the
         # predictor); the tip cell adds f_k tip / (gamma + 1), w f_next later
         fm0 = float(np.dot(self._f[:k], d0))
         slope = float(np.dot(self._s[:k], (t_next - self._t[:k]) * d0)) / g
         slope = (slope - float(np.dot(self._df[:k], P))) / (g + 1.0)
-        fk = float(self._f[k])
         pred = self.u0 + self.inv_g * (fm0 + fk * tip) / g
         hist = self.u0 + self.inv_g * (fm0 / g + slope + fk * tip / (g + 1.0))
         return pred, hist, self.inv_g * tip / (g * (g + 1.0))
@@ -381,6 +401,8 @@ class _History:
         self._f[self.n] = f_next
         self._df[self.n - 1] = df = f_next - self._f[self.n - 1]
         self._s[self.n - 1] = df / self._h[self.n - 1]
+        if self._far is not None and self.n >= _SOE_START:
+            self._far.absorb(self.n, self._f[self.n - 1], f_next)
         self.n += 1
 
     def path(self, status: PathStatus, iters: int) -> SolutionPath:
@@ -398,7 +420,7 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
     opts = opts or SolverOptions()
     t = mesh.nodes
     # un-startable problems raise here
-    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), cap=t.size)
+    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), nodes=t)
     iters = 0
 
     def truncated(status: PathStatus) -> SolutionPath:

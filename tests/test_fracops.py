@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import KERNEL_RTOL, pow_diff_masked, trapezoid_moments_masked
 
+from fracode import fracops
 from fracode.fracops import (
     Mesh,
     SampledFn,
@@ -443,3 +444,31 @@ class TestMomentsMatchMaskedOracle:
         cell = v[:-1] * (d0 / gamma - n1) + v[1:] * n1
         pwi = np.concatenate(([0.0], np.cumsum(cell)))
         assert np.array_equal(power_weighted_integral(gamma, g).values, pwi)
+
+
+class TestFarHistory:
+    """Long meshes take the far history from exponential modes."""
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-10])
+    def test_soe_meets_its_relative_tolerance(self, gamma, ratio):
+        # measured at most 1.6e-14 on [delta, T]
+        T = 1.0
+        s, w = fracops._soe(gamma, ratio * T, T)
+        assert np.all(s > 0.0) and np.all(w > 0.0)
+        assert np.all(s * ratio * T < 45.0)
+        tau = np.geomspace(ratio * T, T, 20001)
+        approx = np.exp(-np.multiply.outer(tau, s)) @ w
+        assert np.abs(approx / tau ** (gamma - 1.0) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    def test_operators_match_the_direct_path(self, gamma, monkeypatch):
+        # measured: at most 5e-15 relative to the largest value
+        mesh = Mesh.graded(1.0, 4096, 2.0 / gamma)
+        assert mesh.nodes.size >= fracops._SOE_MIN_NODES
+        g = _sample(mesh, lambda t: np.cos(7.0 * t) + t)
+        fast = frac_integral(gamma, g).values, caputo_l1(gamma, g, 1.0).values
+        monkeypatch.setattr(fracops, "_SOE_MIN_NODES", mesh.nodes.size + 1)
+        direct = frac_integral(gamma, g).values, caputo_l1(gamma, g, 1.0).values
+        for a, b in zip(fast, direct):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()

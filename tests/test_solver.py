@@ -18,12 +18,13 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import KERNEL_RTOL, list_history_weights
 
-from fracode import solver
+from fracode import fracops, solver
 from fracode.asymptotics import blowup_constant_theory
 from fracode.expressions import EvalError, evaluate, parse
 from fracode.fracops import Mesh, default_grading
@@ -603,3 +604,88 @@ class TestHistoryEngine:
         assert np.array_equal(path.mesh.nodes, nodes)
         assert np.array_equal(path.values, values)
         assert path.corrector_iterations == 7
+
+
+def _exact_half_decay(t: np.ndarray) -> np.ndarray:
+    # D^0.5 u = -u, u(0) = 1: u = E_0.5(-t^0.5) = exp(t) erfc(sqrt(t))
+    return np.array([math.exp(s) * math.erfc(math.sqrt(s)) for s in t.tolist()])
+
+
+class TestFarHistory:
+    """`solve` on a long fixed mesh takes its far history from exponential
+    modes (fracops._FarHistory); the direct O(N^2) sums, forced by raising
+    the mesh-size threshold, are its oracle."""
+
+    @staticmethod
+    def _direct(monkeypatch, prob, mesh):
+        with monkeypatch.context() as m:
+            m.setattr(fracops, "_SOE_MIN_NODES", mesh.nodes.size + 1)
+            return solve(prob, mesh)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    def test_matches_the_direct_path_on_graded_meshes(self, gamma, monkeypatch):
+        # measured: at most 4.9e-15 relative
+        prob = FracProblem.power_law(gamma, -1.0, 1.0, 1.0, 1.0)
+        mesh = Mesh.graded(1.0, 4096, 2.0 / gamma)
+        assert mesh.nodes.size >= fracops._SOE_MIN_NODES
+        fast = solve(prob, mesh)
+        direct = self._direct(monkeypatch, prob, mesh)
+        assert fast.status is direct.status is PathStatus.COMPLETED
+        scale = np.abs(direct.values).max()
+        assert np.abs(fast.values - direct.values).max() <= 1e-13 * scale
+
+    def test_matches_the_direct_path_on_the_long_decay(self, monkeypatch):
+        # Here the direct path is the less accurate one: against an
+        # extended-precision march with series first moments on thin
+        # cells, the fast path deviates by 8.9e-16 and the direct path by
+        # 1.05e-13, the first-moment cancellation of its far cells.  So
+        # the bound is twice the direct path's own error
+        prob = FracProblem.power_law(0.5, -1.0, 2.0, 1.0, 1e6)
+        mesh = Mesh.geometric(1e6, 8192, 1e-3)
+        fast = solve(prob, mesh)
+        direct = self._direct(monkeypatch, prob, mesh)
+        assert fast.status is direct.status is PathStatus.COMPLETED
+        scale = np.abs(direct.values).max()
+        assert np.abs(fast.values - direct.values).max() <= 2e-13 * scale
+
+    def test_moments_run_only_for_the_direct_start(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return fracops._trapezoid_moments(*args)
+
+        monkeypatch.setattr(solver, "_trapezoid_moments", counted)
+        prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
+        mesh = Mesh.graded(1.0, 4096, 4.0)
+        solve(prob, mesh)
+        assert len(calls) == fracops._SOE_START - 1 == 511
+        assert calls[-1] == mesh.nodes[511]
+        calls.clear()
+        self._direct(monkeypatch, prob, mesh)
+        assert len(calls) == 4096
+
+    def test_second_order_on_the_fast_path(self):
+        # measured 7.7e-9 -> 1.9e-9, order 2.00
+        prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
+        errs = []
+        for n in (4096, 8192):
+            mesh = Mesh.graded(1.0, n, default_grading(0.5))
+            assert mesh.nodes.size >= fracops._SOE_MIN_NODES
+            path = solve(prob, mesh)
+            errs.append(np.abs(path.values - _exact_half_decay(mesh.nodes)).max())
+        assert math.log2(errs[0] / errs[1]) >= 1.9
+
+    def test_traced_peak_stays_under_one_mebibyte(self):
+        # measured 838 KiB (515 KiB with the direct history): the mode
+        # rows are formed 64 mesh cells at a time
+        prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
+        mesh = Mesh.graded(1.0, 4096, 4.0)
+        assert mesh.nodes.size >= fracops._SOE_MIN_NODES
+        tracemalloc.start()
+        try:
+            solve(prob, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
