@@ -599,17 +599,19 @@ def lipschitz_probe(
     t_range: tuple[float, float],
     u_range: tuple[float, float],
     n: int = 33,
+    compiled: Callable[[float, float], float] | None = None,
 ) -> float:
     """Finite-difference estimate of max |df/du| over a box.
 
     Central differences on an n-by-n grid; probe points where
     evaluation fails (domain edges) are skipped.  Raises EvalError if
-    no probe point evaluates.
+    no probe point evaluates.  `compiled` is `compile_expr(e)` if the
+    caller has it already.
     """
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
     du = max(1e-7 * (abs(u_lo) + abs(u_hi) + 1.0), 1e-9)
-    f = compile_expr(e)
+    f = compile_expr(e) if compiled is None else compiled
     best = None
     for i in range(n):
         t = t_lo + (t_hi - t_lo) * (i / (n - 1) if n > 1 else 0.5)

@@ -7,17 +7,19 @@ Everything runs through the equivalent Volterra form
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
 corrector, solved to roundoff by secant steps with a bracket fallback
-(`_corrector`, in `solve` and `detect_blowup`).  `solve`, both adaptive
-marches and `fracops.frac_integral` share one Volterra history,
-`_History`: preallocated numpy buffers that grow by doubling, handed
-to the exact kernel moments of fracops as slices.  On a known mesh of
-at least `fracops._SOE_MIN_NODES` nodes (`solve`, `frac_integral`) the
-cells behind the tip come from sum-of-exponentials modes from node
-`fracops._SOE_START` on, O(N K) per march with K ~ 100-200 modes;
-the adaptive marches, whose steps are not known ahead, and shorter
-meshes keep the direct O(N^2) sums.  Both paths sum in a fixed order,
-so a rerun is bitwise identical; they agree with each other to
-rounding, not bit for bit.
+(`_corrector`, in `solve` and `detect_blowup`).  `solve` and both
+adaptive marches share one Volterra history, `_History`: preallocated
+numpy buffers that grow by doubling, handed to the exact kernel
+moments of fracops as slices; `fracops.frac_integral` takes the same
+weights with u0 = 0 as block products.  On a known mesh (`solve`) the
+moment rows come from blocks formed ahead (`fracops._DirectRows`), and
+on one of at least `fracops._SOE_MIN_NODES` nodes the cells behind
+the tip come from sum-of-exponentials modes from node
+`fracops._SOE_START` on, O(N K) per march with K ~ 100-200 modes; the
+adaptive marches, whose steps are not known ahead, form one row per
+step, and they and shorter meshes keep the direct O(N^2) sums.  Every
+path sums in a fixed order, so a rerun is bitwise identical; the
+paths agree with each other to rounding, not bit for bit.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
@@ -40,7 +42,14 @@ from typing import Callable
 import numpy as np
 
 from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
-from fracode.fracops import _SOE_START, Mesh, SampledFn, _far_history, _trapezoid_moments
+from fracode.fracops import (
+    _SOE_START,
+    Mesh,
+    SampledFn,
+    _DirectRows,
+    _far_history,
+    _trapezoid_moments,
+)
 from fracode.specfun import EPS, gamma_fn
 
 __all__ = [
@@ -85,7 +94,8 @@ class FracProblem:
     law (A, p); `from_rhs` auto-tags expressions that match A*u^p so
     the asymptotic machinery sees the exact coefficients.  An untagged
     expression is compiled once, on construction, and `f` calls the
-    compiled form.
+    compiled form; `dataclasses.replace` hands that form on, so the
+    same equation from another u0 is not compiled again.
     """
 
     gamma: float
@@ -95,7 +105,7 @@ class FracProblem:
     A: float | None = None
     p: float | None = None
     _rhs_fn: Callable[[float, float], float] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, repr=False, compare=False, kw_only=True
     )
 
     def __post_init__(self):
@@ -112,7 +122,7 @@ class FracProblem:
                 raise ValueError("power law needs finite A and p")
             if self.p != int(self.p) and not self.u0 > 0.0:
                 raise ValueError("power law with non-integer p needs u0 > 0")
-        else:
+        elif self._rhs_fn is None:
             object.__setattr__(self, "_rhs_fn", compile_expr(self.rhs))
 
     def __reduce__(self):
@@ -184,13 +194,14 @@ class SolutionPath:
         return SampledFn(self.mesh, self.values)
 
 
-def _corrector(f, tn, hist, w, x0, lo_limit):
+def _corrector(f, tn, hist, w, x0, lo_limit, peak=None):
     # root of phi(x) = x - hist - w f(tn, x) by secant steps from the
     # predictor x0 and its first fixed-point sweep; stops once |phi| is
     # at roundoff or a step no longer moves x.  A failed evaluation, a
     # step out of (lo_limit, inf), a slope <= 0 (past the fold, off the
-    # march's branch) or 30 steps hand over to _bracket_solve.  Returns
-    # (x, f(tn, x), evaluations): (nan, nan, .) if the bracket finds no
+    # march's branch) or 30 steps hand over to _bracket_solve (with
+    # peak(w), the maximum of a concave phi, if the caller knows it).
+    # Returns (x, f(tn, x), evaluations): (nan, nan, .) if the bracket finds no
     # root, (root, nan, .) if the rhs fails at the bracket's root
     lo = -math.inf if lo_limit is None else lo_limit
     x, slope, evals = x0, 1.0, 0
@@ -218,7 +229,7 @@ def _corrector(f, tn, hist, w, x0, lo_limit):
         evals += 1
         return f(t, u)
 
-    x, ok = _bracket_solve(counted, tn, hist, w, x0, lo_limit)
+    x, ok = _bracket_solve(counted, tn, hist, w, x0, lo_limit, peak)
     if not ok:
         return math.nan, math.nan, evals
     try:
@@ -227,12 +238,20 @@ def _corrector(f, tn, hist, w, x0, lo_limit):
         return x, math.nan, evals + 1
 
 
-def _bracket_solve(f, tn, hist, w, x0, lo_limit=None):
+def _bracket_solve(f, tn, hist, w, x0, lo_limit=None, peak=None):
     # robust fallback: find x with x = hist + w f(tn, x) by expanding a
-    # bracket around x0 and bisecting phi(x) = x - hist - w f(tn, x)
+    # bracket around x0 and bisecting phi(x) = x - hist - w f(tn, x).
+    # For a concave phi with its maximum at peak(w), phi < 0 there means
+    # no root: one evaluation instead of 80 span doublings
     def phi(x):
         return x - hist - w * f(tn, x)
 
+    if peak is not None:
+        try:
+            if phi(peak(w)) < 0.0:
+                return x0, False
+        except (EvalError, OverflowError):
+            pass  # a peak past the floats: search as without it
     span = max(abs(x0), 1.0) * 0.1
     if lo_limit is not None and x0 <= lo_limit:
         x0 = lo_limit + span  # recentre into the admissible half-line
@@ -325,12 +344,16 @@ class _History:
     of the last `weights` call, up to `cap` nodes, caching the increment
     df and slope df/h of f on the cell it closes.  `solve` marches a
     fixed mesh the same way, node by node, with its `nodes` given ahead:
-    the mesh size is the cap, and a long mesh takes the far history from
+    the mesh size is the cap, the moment rows are read out of blocks
+    formed ahead (`fracops._DirectRows`, the same bits as one call per
+    row), and a long mesh takes the far history from
     `fracops._FarHistory` from node _SOE_START on (one dot per `weights`,
     one update of the modes per `accept`); the predictor then takes the
-    corrector's far part.  Otherwise the kernel sees slices of the
-    buffers, never rebuilt arrays, and the sums are the direct O(N^2)
-    ones in a fixed order.
+    corrector's far part, and the held rows are dropped.  Otherwise the
+    kernel sees slices of the buffers, never rebuilt arrays, and the
+    sums are the direct O(N^2) ones in a fixed order.
+    `fracops.frac_integral` forms the same weights (u0 = 0) as products
+    over row blocks and marches no `_History`.
     """
 
     def __init__(
@@ -340,7 +363,11 @@ class _History:
         self.u0 = u0
         self.inv_g = 1.0 / gamma_fn(gamma)
         self.cap = cap if nodes is None else nodes.size
-        self._far = None if nodes is None else _far_history(gamma, nodes)
+        self._far = self._rows = None
+        if nodes is not None:
+            self._far = _far_history(gamma, nodes)
+            stop = nodes.size if self._far is None else _SOE_START
+            self._rows = _DirectRows(gamma, nodes, stop)
         self._t = np.zeros(_HISTORY_START)
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
@@ -378,13 +405,17 @@ class _History:
         fk = float(self._f[k])
         if self._far is not None and n >= _SOE_START:
             if n == _SOE_START:
+                self._rows = None  # the direct rows are done
                 self._far.start(self._f[:k], self._f[1:n])
             far = self._far.far(n)
             tip = float(self._h[k]) ** g
             pred = self.u0 + self.inv_g * (far + fk * tip / g)
             hist = self.u0 + self.inv_g * (far + fk * tip / (g + 1.0))
             return pred, hist, self.inv_g * tip / (g * (g + 1.0))
-        d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
+        if self._rows is not None:
+            d0, P, tip = self._rows.row(n)
+        else:
+            d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
         # f_j M0 + s_j M1 over the accepted cells (f_j M0 shared with the
         # predictor); the tip cell adds f_k tip / (gamma + 1), w f_next later
         fm0 = float(np.dot(self._f[:k], d0))
@@ -527,6 +558,11 @@ def detect_blowup(
 
     horizon = 100.0 * prob.T
 
+    def peak(w: float) -> float:
+        # phi(x) = x - hist - w A x^p is concave with its maximum where
+        # phi'(x) = 1 - w A p x^(p-1) = 0
+        return (w * A * p) ** (-1.0 / (p - 1.0))
+
     def march(eta: float):
         hist = _History(gamma, prob.u0, prob.f(0.0, prob.u0))
         iters = 0
@@ -554,7 +590,7 @@ def detect_blowup(
                 t_next = t_n + h
                 try:
                     pred, hval, w = hist.weights(t_next)
-                    x, fx, used = _corrector(prob.f, t_next, hval, w, pred, 0.0)
+                    x, fx, used = _corrector(prob.f, t_next, hval, w, pred, 0.0, peak)
                     iters += used
                     if not (x > 0.0 and math.isfinite(x) and math.isfinite(fx)):
                         raise EvalError("corrector lost its root", 0)

@@ -37,7 +37,7 @@ their checks through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,6 +61,7 @@ from fracode.fracops import (
 )
 from fracode.solver import FracProblem, SolutionPath, solve
 from fracode.specfun import (  # noqa: F401 -- the benchmark trace binds verify.resolvent
+    EPS,
     MLQuery,
     _ml_many,
     gamma_fn,
@@ -138,18 +139,19 @@ def _common_window(a: SolutionPath, b: SolutionPath):
     return a.mesh.nodes[:n], a.values[:n], b.values[:n]
 
 
-def _probe_lipschitz(expr: Expr, T: float, *value_arrays) -> float:
+def _probe_lipschitz(expr: Expr, T: float, *value_arrays, compiled=None) -> float:
     lo = min(float(v.min()) for v in value_arrays)
     hi = max(float(v.max()) for v in value_arrays)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = 1.5 * half + 1e-6 * (1.0 + abs(mid))  # inflated hull
-    return lipschitz_probe(expr, (0.0, T), (mid - half, mid + half))
+    return lipschitz_probe(expr, (0.0, T), (mid - half, mid + half), compiled=compiled)
 
 
 class _TwinPair(NamedTuple):
     """One equation solved from two starts on a shared mesh."""
 
     f: Callable[[float, float], float]  # the solved problem's rhs
+    compiled: Callable[[float, float], float] | None  # the tree's, None if tagged
     mesh: Mesh
     nodes: np.ndarray  # the node prefix both paths resolved
     va: np.ndarray
@@ -162,8 +164,8 @@ def _solve_twin_pair(
     mesh = _mesh_for(gamma, T, n)
     prob = FracProblem.from_rhs(gamma, expr, u10, T)
     a = solve(prob, mesh)
-    b = solve(FracProblem.from_rhs(gamma, expr, u20, T), mesh)
-    return _TwinPair(prob.f, mesh, *_common_window(a, b))
+    b = solve(replace(prob, u0=u20), mesh)  # shares prob's compiled rhs
+    return _TwinPair(prob.f, prob._rhs_fn, mesh, *_common_window(a, b))
 
 
 def _margin_report(margins: np.ndarray) -> ComparisonReport:
@@ -234,7 +236,7 @@ def _stability_report(
     expr: Expr, gamma: float, gap0: float, pair: _TwinPair
 ) -> StabilityReport:
     nodes, va, vb = pair.nodes, pair.va, pair.vb
-    lip = _probe_lipschitz(expr, pair.mesh.horizon, va, vb)
+    lip = _probe_lipschitz(expr, pair.mesh.horizon, va, vb, compiled=pair.compiled)
     if not math.isfinite(lip):
         raise ValueError("right-hand side failed the Lipschitz probe")
     diff = vb - va
@@ -259,10 +261,15 @@ def _stability_report(
     eq_residual = float(np.abs(y + conv - 1.0).max())
 
     # E_gamma is >= 1 on [0, inf), so only nodes with y > 1 can strain
-    # the envelope; saturation to inf upstream reads as a pass
+    # the envelope; saturation to inf upstream reads as a pass.  Every
+    # series term is >= 0 there, so E_gamma(z) >= 1 + z/Gamma(1+gamma):
+    # a node under that bound, less 16 EPS for its rounding (gamma_fn's
+    # is 3), needs no E_gamma
     scale = lip * gamma_fn(gamma)
     envelope_ok = True
-    for i in np.flatnonzero(kept & (y > 1.0)):
+    strain = np.flatnonzero(kept & (y > 1.0))
+    floor = 1.0 + scale * nodes[strain] ** gamma / gamma_fn(1.0 + gamma)
+    for i in strain[y[strain] > floor * ((1.0 + 1e-2) * (1.0 - 16.0 * EPS))]:
         env = mittag_leffler(MLQuery(alpha=gamma, z=scale * float(nodes[i]) ** gamma))
         if y[i] > env * (1.0 + 1e-2):
             envelope_ok = False

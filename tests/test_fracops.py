@@ -9,6 +9,7 @@ rounding tolerance, at every step of several meshes and orders.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,8 @@ class _UfuncLog(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         _UfuncLog.calls.append(ufunc.__name__)
         inputs = tuple(np.asarray(x) if isinstance(x, _UfuncLog) else x for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
         out = getattr(ufunc, method)(*inputs, **kwargs)
         return out.view(_UfuncLog) if isinstance(out, np.ndarray) else out
 
@@ -370,6 +373,16 @@ class TestKernelWork:
         _trapezoid_moments(0.37, float(t[-1]), t.view(_UfuncLog), h)
         arithmetic = {"add", "subtract", "multiply", "divide", "true_divide", "negative"}
         assert sorted(set(_UfuncLog.calls) - arithmetic) == ["expm1", "log1p", "power"]
+        for name in ("expm1", "log1p", "power"):
+            assert _UfuncLog.calls.count(name) == 1
+
+
+    def test_three_transcendental_passes_per_block(self, monkeypatch):
+        # a block of rows makes the same three passes over its cells; the
+        # tips are scalar powers, the triangle beside the diagonal a mask
+        monkeypatch.setattr(_UfuncLog, "calls", [])
+        t = Mesh.graded(1.0, 64, 4.0).nodes
+        _trapezoid_moments(0.37, t[40:].view(_UfuncLog), t.view(_UfuncLog))
         for name in ("expm1", "log1p", "power"):
             assert _UfuncLog.calls.count(name) == 1
 
@@ -444,6 +457,126 @@ class TestMomentsMatchMaskedOracle:
         cell = v[:-1] * (d0 / gamma - n1) + v[1:] * n1
         pwi = np.concatenate(([0.0], np.cumsum(cell)))
         assert np.array_equal(power_weighted_integral(gamma, g).values, pwi)
+
+
+def _block_rows(gamma, t, blocks):
+    # (n, d0 row, P row, tip) for every row of the given (lo, hi) blocks
+    h = np.diff(t)
+    for lo, hi in blocks:
+        d0, P, tips = _trapezoid_moments(gamma, t[lo:hi], t[:hi], h[: hi - 1])
+        assert d0.shape == P.shape == (hi - lo, hi - 2) and tips.shape == (hi - lo,)
+        for i, n in enumerate(range(lo, hi)):
+            # the triangle at and right of the tip cell is zero
+            assert not np.any(d0[i, n - 1 :]) and not np.any(P[i, n - 1 :])
+            yield n, d0[i, : n - 1], P[i, : n - 1], tips[i]
+
+
+class TestMomentBlocks:
+    """Rows formed in blocks are the one-row kernel's, bit for bit, and
+    meet the masked oracle; the operators built on them meet a per-row
+    reference to rounding."""
+
+    @staticmethod
+    def _check_rows(gamma, t, blocks):
+        h = np.diff(t)
+        seen = []
+        for n, d0, P, tip in _block_rows(gamma, t, blocks):
+            one = _trapezoid_moments(gamma, float(t[n]), t[: n + 1], h[:n])
+            assert np.array_equal(d0, one[0]) and np.array_equal(P, one[1]), n
+            assert tip == one[2], n
+            ref = trapezoid_moments_masked(gamma, t[n], t[: n + 1])
+            scale = trapezoid_moments_masked(gamma, t[n], t[: n + 1], absolute=True)
+            x = t[n] - t[: n - 1]
+            m0 = np.append(d0, tip) / gamma
+            m1h = np.append(
+                (x * d0 / (gamma * (gamma + 1.0)) - h[: n - 1] * P / (gamma + 1.0)) / h[: n - 1],
+                tip / (gamma * (gamma + 1.0)),
+            )
+            assert np.all(np.abs(m0 - ref[0]) <= KERNEL_RTOL * scale[0]), n
+            assert np.all(np.abs(m1h - ref[1]) <= KERNEL_RTOL * scale[1]), n
+            seen.append(n)
+        return seen
+
+    @pytest.mark.parametrize("gamma,mesh", list(_oracle_cases()))
+    def test_block_rows_match_the_masked_oracle(self, gamma, mesh):
+        t = mesh.nodes
+        h = np.diff(t)
+        blocks = [(lo, hi) for lo, hi, *_ in fracops._moment_blocks(gamma, t, h, 1, t.size)]
+        assert self._check_rows(gamma, t, blocks) == list(range(1, t.size))
+        # one-row blocks, and blocks cut at every third row
+        ones = [(n, n + 1) for n in range(1, t.size)]
+        assert self._check_rows(gamma, t, ones) == list(range(1, t.size))
+        thirds = [(lo, min(lo + 3, t.size)) for lo in range(1, t.size, 3)]
+        assert self._check_rows(gamma, t, thirds) == list(range(1, t.size))
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.77])
+    def test_blocks_straddling_the_far_start(self, gamma):
+        start = fracops._SOE_START
+        t = Mesh.graded(1.0, start + 200, default_grading(gamma)).nodes
+        blocks = [(start - 40, start + 40), (start - 1, start + 1), (start + 40, start + 201)]
+        assert len(self._check_rows(gamma, t, blocks)) == 80 + 2 + 161
+
+    def test_block_cells_stay_under_the_limit(self):
+        t = Mesh.uniform(1.0, 4096).nodes
+        h = np.diff(t)
+        rows = []
+        for lo, hi, d0, _, _ in fracops._moment_blocks(0.5, t, h, 1, t.size):
+            assert d0.size <= fracops._BLOCK_CELLS or hi == lo + 1
+            rows.extend(range(lo, hi))
+        assert rows == list(range(1, t.size))
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("kind", ["graded", "geometric"])
+    def test_operators_match_a_per_row_reference(self, gamma, kind):
+        # the rows of the product-trapezoid sums one at a time from the
+        # one-row kernel; a deviation counts as rounding within
+        # KERNEL_RTOL times the sum of the magnitudes of the terms
+        if kind == "graded":
+            mesh = Mesh.graded(1.0, 1024, default_grading(gamma))
+        else:
+            mesh = Mesh.geometric(50.0, 1024, 1e-6)
+        t = mesh.nodes
+        assert t.size < fracops._SOE_MIN_NODES
+        h = np.diff(t)
+        v = np.cos(7.0 * t / t[-1]) + t / t[-1]
+        df = np.diff(v)
+        s = df / h
+        q = 1.0 - gamma
+        slopes = np.diff(np.concatenate(([1.0], v[1:]))) / h
+        inv_g, inv_g2, g1 = 1.0 / gamma_fn(gamma), 1.0 / gamma_fn(2.0 - gamma), gamma + 1.0
+        jint, jint_scale = np.zeros(t.size), np.zeros(t.size)
+        l1, l1_scale = np.zeros(t.size), np.zeros(t.size)
+        for n in range(1, t.size):
+            k = n - 1
+            d0, P, tip = _trapezoid_moments(gamma, float(t[n]), t[: n + 1], h[:n])
+            xd0 = (t[n] - t[:k]) * d0
+            terms = (
+                v[:k] * d0 / gamma,
+                s[:k] * xd0 / (gamma * g1),
+                -df[:k] * P / g1,
+                [v[k] * tip / g1, tip / (gamma * g1) * v[n]],
+            )
+            jint[n] = inv_g * sum(math.fsum(x) for x in terms)
+            jint_scale[n] = inv_g * sum(math.fsum(np.abs(x)) for x in terms)
+            d, _, tip = _trapezoid_moments(q, float(t[n]), t[: n + 1], h[:n])
+            l1[n] = inv_g2 * (math.fsum(slopes[:k] * d) + slopes[k] * tip)
+            l1_scale[n] = inv_g2 * (math.fsum(np.abs(slopes[:k]) * d) + abs(slopes[k]) * tip)
+        g = SampledFn(mesh, v)
+        assert np.all(np.abs(frac_integral(gamma, g).values - jint) <= KERNEL_RTOL * jint_scale)
+        assert np.all(np.abs(caputo_l1(gamma, g, 1.0).values - l1) <= KERNEL_RTOL * l1_scale)
+
+    def test_traced_peak_of_frac_integral(self):
+        # measured 727 KiB (138 KiB row by row): three block arrays of at
+        # most _BLOCK_CELLS cells, and the two of the block before
+        mesh = Mesh.graded(1.0, 1024, 4.0)
+        g = _sample(mesh, lambda t: np.cos(7.0 * t) + t)
+        tracemalloc.start()
+        try:
+            frac_integral(0.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestFarHistory:

@@ -124,10 +124,11 @@ class TestFracProblem:
         assert twin == prob
         assert hash(twin) == hash(prob)
         assert twin.f(0.25, 2.0) == prob.f(0.25, 2.0)
-        # a replaced start keeps evaluating through its own compiled rhs
+        # a replaced start shares the compiled rhs instead of compiling
         moved = dataclasses.replace(twin, u0=2.0)
         assert moved != prob
         assert moved.f(0.25, 2.0) == prob.f(0.25, 2.0)
+        assert moved._rhs_fn is twin._rhs_fn
 
 
 class TestSolveExact:
@@ -363,6 +364,43 @@ class TestDetectBlowup:
         assert abs(report.exponent_fit - want) <= 0.03 * want
         theory = blowup_constant_theory(1.0, 4.0, 0.5)
         assert abs(report.constant_fit - theory) <= 0.10 * theory
+
+    def test_bracket_fallback_stops_at_the_peak(self, monkeypatch):
+        # phi(x) = x - hist - w A x^p is concave: one evaluation at its
+        # peak shows there is no root, where the span doublings took 160
+        # (1,440 over the nine fallbacks of this march)
+        inner = solver._bracket_solve
+        counts = {"fallbacks": 0, "evals": 0}
+
+        def spy(f, *args):
+            counts["fallbacks"] += 1
+
+            def counted(t, u):
+                counts["evals"] += 1
+                return f(t, u)
+
+            return inner(counted, *args)
+
+        def without_peak(*args):
+            return inner(*args[:6])
+
+        prob = FracProblem.power_law(0.5, 1.0, 4.0, 1.0, 1.0)
+        monkeypatch.setattr(solver, "_bracket_solve", spy)
+        report = detect_blowup(prob, u_max=1e4)
+        assert counts == {"fallbacks": 9, "evals": 9}
+        monkeypatch.setattr(solver, "_bracket_solve", without_peak)
+        slow = detect_blowup(prob, u_max=1e4)
+        for name in ("Tb_estimate", "exponent_fit", "constant_fit", "refinement_drift"):
+            assert getattr(report, name) == getattr(slow, name), name
+        assert np.array_equal(report.path.values, slow.path.values)
+        assert np.array_equal(report.path.mesh.nodes, slow.path.mesh.nodes)
+        assert report.path.corrector_iterations == slow.path.corrector_iterations
+
+    def test_steep_power_still_collapses(self):
+        # p = 5 outruns the growth-limited steps; the peak test only
+        # makes the failing fallbacks cheap
+        with pytest.raises(StepCollapseError):
+            detect_blowup(FracProblem.power_law(0.5, 1.0, 5.0, 1.0, 1.0), u_max=1e4)
 
     def test_amplitude_scaling_of_the_constant(self):
         report = detect_blowup(FracProblem.power_law(0.5, 2.0, 2.0, 1.0, 1.0))
@@ -649,21 +687,31 @@ class TestFarHistory:
         assert np.abs(fast.values - direct.values).max() <= 2e-13 * scale
 
     def test_moments_run_only_for_the_direct_start(self, monkeypatch):
+        # the direct rows 1..511 come in blocks of at most _BLOCK_CELLS
+        # kernel cells, one kernel call per block; forced direct, the
+        # blocks cover all 4096 rows
         calls = []
+        moments = fracops._trapezoid_moments
 
         def counted(*args):
-            calls.append(args[1])
-            return fracops._trapezoid_moments(*args)
+            calls.append(np.atleast_1d(args[1]))
+            return moments(*args)
 
+        monkeypatch.setattr(fracops, "_trapezoid_moments", counted)
         monkeypatch.setattr(solver, "_trapezoid_moments", counted)
         prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
         mesh = Mesh.graded(1.0, 4096, 4.0)
         solve(prob, mesh)
-        assert len(calls) == fracops._SOE_START - 1 == 511
-        assert calls[-1] == mesh.nodes[511]
+        assert len(calls) == 10
+        assert sum(tn.size for tn in calls) == fracops._SOE_START - 1 == 511
+        assert calls[-1][-1] == mesh.nodes[511]
+        for tn in calls:
+            first = int(np.flatnonzero(mesh.nodes == tn[0])[0])
+            assert tn.size * (first + tn.size - 2) <= fracops._BLOCK_CELLS
         calls.clear()
         self._direct(monkeypatch, prob, mesh)
-        assert len(calls) == 4096
+        assert len(calls) == 557
+        assert np.array_equal(np.concatenate(calls), mesh.nodes[1:])
 
     def test_second_order_on_the_fast_path(self):
         # measured 7.7e-9 -> 1.9e-9, order 2.00

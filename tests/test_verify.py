@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracode import fracops, verify
-from fracode.expressions import parse
+from fracode import expressions, fracops, solver, verify
+from fracode.expressions import compile_expr, parse
 from fracode.fracops import Mesh, SampledFn, default_grading
 from fracode.solver import FracProblem, solve
-from fracode.specfun import MLQuery, ResolventQuery, _ml, mittag_leffler, resolvent
+from fracode.specfun import MLQuery, ResolventQuery, _ml, gamma_fn, mittag_leffler, resolvent
 from fracode.verify import (
     CORPUS_SEED,
     VIOLATION_TOL,
@@ -183,6 +183,103 @@ class TestStabilityExperiment:
     def test_rejects_equal_starts(self):
         with pytest.raises(ValueError, match="distinct initial values"):
             stability_experiment("-1*u", 0.5, 1.0, 1.0)
+
+
+class TestStabilityEnvelope:
+    """E_gamma(z) >= 1 + z/Gamma(1+gamma) for z >= 0 settles most nodes;
+    E_gamma itself is read only where that floor does not."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        inner = verify.mittag_leffler
+
+        def counted(query):
+            calls.append(query.z)
+            return inner(query)
+
+        monkeypatch.setattr(verify, "mittag_leffler", counted)
+        return calls
+
+    @staticmethod
+    def _report(y):
+        # y = (u2 - u1)/(u20 - u10) on f = 0.5 u, whose probed Lipschitz
+        # constant is 0.5 to rounding
+        expr = parse("0.5*u")
+        mesh = Mesh.graded(1.0, 64, 2.0)
+        f = compile_expr(expr)
+        pair = verify._TwinPair(f, f, mesh, mesh.nodes, np.zeros_like(y), y)
+        return verify._stability_report(expr, 0.5, 1.0, pair)
+
+    def test_corpus_reads_no_mittag_leffler(self, monkeypatch):
+        # 561 evaluations when every y > 1 node read E_gamma
+        calls = self._counted(monkeypatch)
+        reports = corpus_reports(stability_experiment, trials=4)
+        assert all(rep.ml_envelope_ok for _, rep in reports)
+        assert calls == []
+
+    @pytest.mark.parametrize("factor,ok", [(1.02, False), (1.0, True)])
+    def test_a_node_over_the_envelope_still_fails(self, monkeypatch, factor, ok):
+        t = Mesh.graded(1.0, 64, 2.0).nodes
+        i = 40
+        y = np.ones(t.size)
+        y[i] = factor * mittag_leffler(MLQuery(alpha=0.5, z=0.5 * gamma_fn(0.5) * t[i] ** 0.5))
+        calls = self._counted(monkeypatch)
+        rep = self._report(y)
+        assert rep.ml_envelope_ok is ok
+        assert len(calls) == 1  # y sits above the floor at node i only
+
+    def test_a_node_on_the_floor_reads_no_mittag_leffler(self, monkeypatch):
+        t = Mesh.graded(1.0, 64, 2.0).nodes
+        y = 1.0 + 0.5 * gamma_fn(0.5) * t**0.5 / gamma_fn(1.5)
+        calls = self._counted(monkeypatch)
+        assert self._report(y).ml_envelope_ok
+        assert calls == []
+
+
+class TestOneCompilePerTrial:
+    """A stability trial compiles its tree once: the second start and the
+    Lipschitz probe reuse the first problem's compiled rhs."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        count = [0]
+        inner = expressions.compile_expr
+
+        def counted(e):
+            count[0] += 1
+            return inner(e)
+
+        for module in (expressions, solver, verify):
+            monkeypatch.setattr(module, "compile_expr", counted)
+        return count
+
+    @pytest.mark.parametrize("rhs", ["corpus", "-1*u"])
+    def test_a_trial_compiles_once(self, monkeypatch, rhs):
+        # "-1*u" is tagged as a power law: only the probe compiles it
+        if rhs == "corpus":
+            rhs = corpus_problems(CORPUS_SEED, 1)[0].rhs
+        count = self._counted(monkeypatch)
+        stability_experiment(rhs, 0.5, 0.2, 0.7, n=64)
+        assert count[0] == 1
+        count[0] = 0
+        run_corpus(trials=4, n=64)
+        assert count[0] == 4
+
+    def test_report_matches_separately_compiled_problems(self):
+        prob = corpus_problems(CORPUS_SEED, 1)[0]
+        rep = stability_experiment(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=128)
+        expr = parse(prob.rhs)
+        mesh = verify._mesh_for(prob.gamma, prob.T, 128)
+        a = solve(FracProblem.from_rhs(prob.gamma, expr, prob.u10, prob.T), mesh)
+        second = FracProblem.from_rhs(prob.gamma, expr, prob.u20, prob.T)
+        b = solve(second, mesh)
+        pair = verify._TwinPair(second.f, None, mesh, *verify._common_window(a, b))
+        ref = verify._stability_report(expr, prob.gamma, prob.u20 - prob.u10, pair)
+        assert np.array_equal(rep.y_path.values, ref.y_path.values)
+        for name in ("min_y", "sup_ratio", "ml_envelope_ok", "lipschitz", "eq_residual"):
+            assert getattr(rep, name) == getattr(ref, name), name
+        assert rep.underflow_nodes == ref.underflow_nodes
 
 
 class TestCheckResolvent:
