@@ -10,16 +10,18 @@ corrector, solved to roundoff by secant steps with a bracket fallback
 (`_corrector`, in `solve` and `detect_blowup`).  `solve` and both
 adaptive marches share one Volterra history, `_History`: preallocated
 numpy buffers that grow by doubling, handed to the exact kernel
-moments of fracops as slices; `fracops.frac_integral` takes the same
-weights with u0 = 0 as block products.  On a known mesh (`solve`) the
-moment rows come from blocks formed ahead (`fracops._DirectRows`), and
-on one of at least `fracops._SOE_MIN_NODES` nodes the cells behind
-the tip come from sum-of-exponentials modes from node
-`fracops._SOE_START` on, O(N K) per march with K ~ 100-200 modes; the
-adaptive marches, whose steps are not known ahead, form one row per
-step, and they and shorter meshes keep the direct O(N^2) sums.  Every
-path sums in a fixed order, so a rerun is bitwise identical; the
-paths agree with each other to rounding, not bit for bit.
+moments of fracops as slices; the Adams weights come from
+`fracops._corrector_cells` and `fracops._corrector_tip`, which
+`fracops.frac_integral` (u0 = 0) applies to blocks of rows.  On a
+known mesh (`solve`) the moment rows come from blocks formed ahead
+(`fracops._DirectRows`), and on one of at least
+`fracops._SOE_MIN_NODES` nodes the cells behind the tip come from
+sum-of-exponentials modes from node `fracops._SOE_START` on, O(N K)
+per march with K ~ 100-200 modes; the adaptive marches, whose steps
+are not known ahead, form one row per step, and they and shorter
+meshes keep the direct O(N^2) sums.  Every path sums in a fixed order,
+so a rerun is bitwise identical; the paths agree with each other to
+rounding, not bit for bit.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
@@ -46,6 +48,8 @@ from fracode.fracops import (
     _SOE_START,
     Mesh,
     SampledFn,
+    _corrector_cells,
+    _corrector_tip,
     _DirectRows,
     _far_history,
     _trapezoid_moments,
@@ -94,8 +98,8 @@ class FracProblem:
     law (A, p); `from_rhs` auto-tags expressions that match A*u^p so
     the asymptotic machinery sees the exact coefficients.  An untagged
     expression is compiled once, on construction, and `f` calls the
-    compiled form; `dataclasses.replace` hands that form on, so the
-    same equation from another u0 is not compiled again.
+    compiled form; `_with_u0` hands that form on, so the same equation
+    from another start is not compiled again.
     """
 
     gamma: float
@@ -105,10 +109,15 @@ class FracProblem:
     A: float | None = None
     p: float | None = None
     _rhs_fn: Callable[[float, float], float] | None = field(
-        default=None, repr=False, compare=False, kw_only=True
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
+        self._check()
+        if self.A is None:
+            object.__setattr__(self, "_rhs_fn", compile_expr(self.rhs))
+
+    def _check(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
@@ -122,8 +131,13 @@ class FracProblem:
                 raise ValueError("power law needs finite A and p")
             if self.p != int(self.p) and not self.u0 > 0.0:
                 raise ValueError("power law with non-integer p needs u0 > 0")
-        elif self._rhs_fn is None:
-            object.__setattr__(self, "_rhs_fn", compile_expr(self.rhs))
+
+    def _with_u0(self, u0: float) -> "FracProblem":
+        """This problem from the start u0, sharing the compiled rhs."""
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__, u0=u0)
+        moved._check()
+        return moved
 
     def __reduce__(self):
         # the compiled function does not pickle; rebuild it on load
@@ -352,8 +366,8 @@ class _History:
     corrector's far part, and the held rows are dropped.  Otherwise the
     kernel sees slices of the buffers, never rebuilt arrays, and the
     sums are the direct O(N^2) ones in a fixed order.
-    `fracops.frac_integral` forms the same weights (u0 = 0) as products
-    over row blocks and marches no `_History`.
+    `fracops.frac_integral` takes the same weights (u0 = 0) over blocks
+    of rows and marches no `_History`.
     """
 
     def __init__(
@@ -410,20 +424,19 @@ class _History:
             far = self._far.far(n)
             tip = float(self._h[k]) ** g
             pred = self.u0 + self.inv_g * (far + fk * tip / g)
-            hist = self.u0 + self.inv_g * (far + fk * tip / (g + 1.0))
-            return pred, hist, self.inv_g * tip / (g * (g + 1.0))
+            hist, w = _corrector_tip(g, self.inv_g, far, tip, fk)
+            return pred, self.u0 + hist, w
         if self._rows is not None:
             d0, P, tip = self._rows.row(n)
         else:
             d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
-        # f_j M0 + s_j M1 over the accepted cells (f_j M0 shared with the
-        # predictor); the tip cell adds f_k tip / (gamma + 1), w f_next later
-        fm0 = float(np.dot(self._f[:k], d0))
-        slope = float(np.dot(self._s[:k], (t_next - self._t[:k]) * d0)) / g
-        slope = (slope - float(np.dot(self._df[:k], P))) / (g + 1.0)
-        pred = self.u0 + self.inv_g * (fm0 + fk * tip) / g
-        hist = self.u0 + self.inv_g * (fm0 / g + slope + fk * tip / (g + 1.0))
-        return pred, hist, self.inv_g * tip / (g * (g + 1.0))
+        # the predictor shares f_j M0 with the corrector
+        fm0, cells = _corrector_cells(
+            g, t_next - self._t[:k], d0, P, self._f[:k], self._s[:k], self._df[:k]
+        )
+        pred = self.u0 + self.inv_g * (float(fm0) + fk * tip) / g
+        hist, w = _corrector_tip(g, self.inv_g, float(cells), tip, fk)
+        return pred, self.u0 + hist, w
 
     def accept(self, u_next: float, f_next: float):
         if self.n >= self.cap:

@@ -37,7 +37,7 @@ their checks through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -164,7 +164,7 @@ def _solve_twin_pair(
     mesh = _mesh_for(gamma, T, n)
     prob = FracProblem.from_rhs(gamma, expr, u10, T)
     a = solve(prob, mesh)
-    b = solve(replace(prob, u0=u20), mesh)  # shares prob's compiled rhs
+    b = solve(prob._with_u0(u20), mesh)
     return _TwinPair(prob.f, prob._rhs_fn, mesh, *_common_window(a, b))
 
 

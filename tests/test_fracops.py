@@ -566,8 +566,10 @@ class TestMomentBlocks:
         assert np.all(np.abs(caputo_l1(gamma, g, 1.0).values - l1) <= KERNEL_RTOL * l1_scale)
 
     def test_traced_peak_of_frac_integral(self):
-        # measured 727 KiB (138 KiB row by row): three block arrays of at
-        # most _BLOCK_CELLS cells, and the two of the block before
+        # measured 547 KiB (138 KiB row by row): a block's d0, P and
+        # distance arrays of at most _BLOCK_CELLS cells each, and numpy's
+        # 64 KiB buffers for broadcasting a row against a column; the
+        # block before is released first
         mesh = Mesh.graded(1.0, 1024, 4.0)
         g = _sample(mesh, lambda t: np.cos(7.0 * t) + t)
         tracemalloc.start()
@@ -576,7 +578,7 @@ class TestMomentBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1 << 20
+        assert peak <= 640 << 10
 
 
 class TestFarHistory:

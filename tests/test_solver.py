@@ -124,11 +124,23 @@ class TestFracProblem:
         assert twin == prob
         assert hash(twin) == hash(prob)
         assert twin.f(0.25, 2.0) == prob.f(0.25, 2.0)
-        # a replaced start shares the compiled rhs instead of compiling
-        moved = dataclasses.replace(twin, u0=2.0)
-        assert moved != prob
+        # another start shares the compiled rhs instead of compiling
+        moved = twin._with_u0(2.0)
+        assert moved == dataclasses.replace(twin, u0=2.0) != prob
         assert moved.f(0.25, 2.0) == prob.f(0.25, 2.0)
-        assert moved._rhs_fn is twin._rhs_fn
+        assert moved._rhs_fn is twin._rhs_fn and twin.u0 == 1.0
+
+    def test_replace_compiles_the_new_rhs(self):
+        prob = FracProblem.from_rhs(0.5, "sin(t) - u^3", 1.0, 1.0)
+        assert dataclasses.replace(prob, rhs=parse("u")).f(0, 2) == 2
+        with pytest.raises(ValueError):
+            dataclasses.replace(prob, _rhs_fn=prob.f)
+
+    def test_with_u0_checks_the_start(self):
+        with pytest.raises(ValueError, match="finite"):
+            FracProblem.from_rhs(0.5, "sin(t) - u^3", 1.0, 1.0)._with_u0(math.inf)
+        with pytest.raises(ValueError, match="u0 > 0"):
+            FracProblem.power_law(0.5, 1.0, 0.5, 1.0, 1.0)._with_u0(0.0)
 
 
 class TestSolveExact:
@@ -687,9 +699,9 @@ class TestFarHistory:
         assert np.abs(fast.values - direct.values).max() <= 2e-13 * scale
 
     def test_moments_run_only_for_the_direct_start(self, monkeypatch):
-        # the direct rows 1..511 come in blocks of at most _BLOCK_CELLS
-        # kernel cells, one kernel call per block; forced direct, the
-        # blocks cover all 4096 rows
+        # solve, frac_integral and caputo_l1 form the direct rows 1..511
+        # in blocks of at most _BLOCK_CELLS kernel cells, one kernel call
+        # per block; forced direct, solve's blocks cover all 4096 rows
         calls = []
         moments = fracops._trapezoid_moments
 
@@ -701,13 +713,18 @@ class TestFarHistory:
         monkeypatch.setattr(solver, "_trapezoid_moments", counted)
         prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
         mesh = Mesh.graded(1.0, 4096, 4.0)
-        solve(prob, mesh)
-        assert len(calls) == 10
-        assert sum(tn.size for tn in calls) == fracops._SOE_START - 1 == 511
-        assert calls[-1][-1] == mesh.nodes[511]
-        for tn in calls:
-            first = int(np.flatnonzero(mesh.nodes == tn[0])[0])
-            assert tn.size * (first + tn.size - 2) <= fracops._BLOCK_CELLS
+        u = solve(prob, mesh).sampled()
+        runs = [calls[:]]
+        for operator in (fracops.frac_integral, lambda gamma, v: fracops.caputo_l1(gamma, v, 1.0)):
+            calls.clear()
+            operator(0.5, u)
+            runs.append(calls[:])
+        for blocks in runs:
+            assert len(blocks) == 10
+            assert np.array_equal(np.concatenate(blocks), mesh.nodes[1 : fracops._SOE_START])
+            for tn in blocks:
+                first = int(np.flatnonzero(mesh.nodes == tn[0])[0])
+                assert tn.size * (first + tn.size - 2) <= fracops._BLOCK_CELLS
         calls.clear()
         self._direct(monkeypatch, prob, mesh)
         assert len(calls) == 557
