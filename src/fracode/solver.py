@@ -7,7 +7,7 @@ Everything runs through the equivalent Volterra form
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
 corrector, solved to roundoff by secant steps with a bracket fallback
-(`_corrector`, in `solve` and `detect_blowup`).  `solve` and both
+(`_corrector`, in every march).  `solve` and both
 adaptive marches share one Volterra history, `_History`: preallocated
 numpy buffers that grow by doubling, handed to the exact kernel
 moments of fracops as slices; the Adams weights come from
@@ -28,10 +28,9 @@ right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
 into its singularity with growth-limited geometrically shrinking steps
 and fits the blow-up time and strength; `detect_extinction` (A<0, p<0)
 follows the decay until the corrector equation loses its positive root,
-which is the discrete signature of the solution touching 0.  Its
-per-step root search is a monotone Newton iteration on the convex
-corrector equation; the corrector's bracket fallback and that search's
-own fallback share one bisection, `_bisect`.
+which is the discrete signature of the solution touching 0.  In all
+three marches `SolutionPath.corrector_iterations` counts the rhs
+evaluations of `_corrector`, the accepted one included.
 """
 
 from __future__ import annotations
@@ -187,8 +186,7 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
     """A marched path.  `corrector_iterations` counts rhs evaluations of
-    the corrector, the accepted one included (`solve`, `detect_blowup`),
-    or of the Newton root search (`detect_extinction`)."""
+    the corrector, the accepted one included."""
 
     mesh: Mesh
     values: np.ndarray
@@ -319,31 +317,6 @@ def _bisect(phi, lo, flo, hi):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi), evals
-
-
-def _newton_down(phi, lo, flo, hi, phi_hi):
-    # root of an increasing convex phi on (lo, hi), phi(lo) = flo < 0,
-    # from phi_hi = phi(hi) with phi(hi) >= 0; phi(x) returns (value,
-    # slope).  Newton from hi then decreases monotonically onto the root,
-    # and stops once a step is at most 4 ulp.  A step that would leave
-    # (lo, hi), or a slope that is not positive, hands the bracket to
-    # _bisect.  Returns (root, evaluations), hi's evaluation not counted
-    x, (fx, dfx) = hi, phi_hi
-    evals = 0
-    for _ in range(60):
-        if not dfx > 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not lo < x_new < hi:
-            break
-        if abs(step) <= 4.0 * math.ulp(x):
-            return x_new, evals
-        x = x_new
-        fx, dfx = phi(x)
-        evals += 1
-    root, more = _bisect(lambda v: phi(v)[0], lo, flo, hi)
-    return root, evals + more
 
 
 _HISTORY_START = 1024  # buffer length of an adaptive march; doubles on demand
@@ -566,6 +539,8 @@ def detect_blowup(
         raise ValueError("need p >= 1.01; constants degenerate as p -> 1")
     if not prob.u0 > 0.0:
         raise ValueError("blow-up regime needs u0 > 0")
+    if not u_max > prob.u0:
+        raise ValueError(f"u_max must exceed u0, got {u_max!r}")
 
     from fracode.asymptotics import blowup_constant_theory, fit_power
 
@@ -675,10 +650,13 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
         raise ValueError("extinction regime needs A < 0, p < 0, u0 > 0")
     if eps_touch is None:
         eps_touch = 1e-6 * u0
+    if not 0.0 < eps_touch < u0:
+        raise ValueError(f"eps_touch must be in (0, u0), got {eps_touch!r}")
 
     absA = abs(A)
     bound = _growth_step(gamma, absA, p, u0, 1.0)
-    hist = _History(gamma, u0, prob.f(0.0, u0))
+    f_n = prob.f(0.0, u0)  # f at the last accepted node
+    hist = _History(gamma, u0, f_n)
     iters = 0
     eta = 0.05
     h_prev = math.inf
@@ -701,38 +679,26 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
         while True:
             t_next = t_n + h
             _, hval, w = hist.weights(t_next)
-            wA = w * A  # w * A * x evaluates as (w * A) * x
             # phi(x) = x - hval - w A x^p dips to a minimum at x_star;
             # phi(x_star) > 0 means no root: the path hit zero inside
             # this step
             x_star = (w * absA * abs(p)) ** (1.0 / (1.0 - p))
-            phi_min = x_star - hval - wA * _upow(x_star, p)
+            phi_min = x_star - hval - w * A * _upow(x_star, p)
             if phi_min > 0.0:
                 if h > floor * 4.0 and h > 1e-12 * max(t_n, bound):
                     h *= 0.5  # localize the touch further
                     continue
                 touch = t_next
                 break
-            # the bracket (x_star, hi) is positive, so the powers need
-            # none of _upow's domain checks, only its overflow mapping.
-            # phi' = 1 - w A p x^(p-1) > 0 and phi'' > 0 right of x_star
-            def phi(x):
-                xp = math.pow(x, p)
-                return x - hval - wA * xp, 1.0 - wA * p * xp / x
-
-            try:
-                hi = max(2.0 * x_star, u_n)
-                phi_hi = phi(hi)
-                grow = 0
-                while phi_hi[0] < 0.0 and grow < 200:
-                    hi *= 2.0
-                    phi_hi = phi(hi)
-                    grow += 1
-                x, evals = _newton_down(phi, x_star, phi_min, hi, phi_hi)
-            except OverflowError:
-                raise EvalError("overflow in power law", 0) from None
-            iters += evals
-            hist.accept(x, prob.f(t_next, x))
+            # the root is right of x_star, where phi rises; f held at
+            # f_n starts the corrector above it
+            x, f_n, used = _corrector(
+                prob.f, t_next, hval, w, max(hval + w * f_n, x_star), x_star
+            )
+            iters += used
+            if math.isnan(f_n):
+                raise EvalError("corrector lost its root", 0)
+            hist.accept(x, f_n)
             if x <= eps_touch:
                 touch = t_next
             break

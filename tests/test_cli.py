@@ -305,6 +305,16 @@ class TestBlowupCommand:
                          "--u0", "1")
         assert rc == 2
 
+    def test_threshold_at_the_start_is_usage_error(self, capfd):
+        # capfd, not capsys: a fit on too few nodes fails inside LAPACK,
+        # which writes its DLASCL complaint to the process's own stderr
+        rc = run(["blowup", "--gamma", "0.5", "--A", "1", "--p", "2", "--u0", "1",
+                  "--u-max", "1"])
+        err = capfd.readouterr().err
+        assert rc == 2
+        assert "u_max" in err
+        assert "DLASCL" not in err
+
 
 class TestExtinctionCommand:
     def test_reference_problem(self, cli):
@@ -314,6 +324,14 @@ class TestExtinctionCommand:
         rep = json.loads(out)
         assert 0.0 < rep["touch_time"] <= PI_OVER_4 * 1.02
         assert rep["upper_bound_time"] == pytest.approx(PI_OVER_4, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", ["2", "0", "-0.1"])
+    def test_touch_threshold_outside_the_start_is_usage_error(self, cli, eps):
+        rc, out, err = cli("extinction", "--gamma", "0.5", "--A", "-1", "--p", "-1",
+                           "--u0", "1", "--eps-touch", eps)
+        assert rc == 2
+        assert out == ""
+        assert "eps_touch" in err
 
 
 class TestAsymptCommand:

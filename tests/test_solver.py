@@ -440,6 +440,13 @@ class TestDetectBlowup:
         with pytest.raises(ValueError, match="power-law"):
             detect_blowup(FracProblem.from_rhs(0.5, "sin(u)", 1.0, 1.0))
 
+    @pytest.mark.parametrize("u_max", [1.0, 0.5, math.nan])
+    def test_rejects_threshold_at_or_below_the_start(self, u_max):
+        # at u_max <= u0 the march takes no step and the fit has no data
+        prob = FracProblem.power_law(0.5, 1.0, 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="u_max"):
+            detect_blowup(prob, u_max=u_max)
+
 
 class TestDetectExtinction:
     def test_reference_case(self):
@@ -463,29 +470,50 @@ class TestDetectExtinction:
         assert np.all(np.diff(report.path.values) < 0.0)
 
     def test_iterations_count_the_root_search_evaluations(self, monkeypatch):
-        # every corrector iteration of the march is one evaluation in the
-        # per-step root search
+        # one _corrector call per accepted step, and corrector_iterations
+        # is the sum of its evaluation counts, as in the other marches
         evals = []
 
         def counting(*args):
-            root, n = newton(*args)
+            x, fx, n = inner(*args)
             evals.append(n)
-            return root, n
+            return x, fx, n
 
-        newton = solver._newton_down
-        monkeypatch.setattr(solver, "_newton_down", counting)
+        inner = solver._corrector
+        monkeypatch.setattr(solver, "_corrector", counting)
         report = detect_extinction(FracProblem.power_law(0.8, -0.5, -2.0, 0.7, 1.0))
         assert len(evals) == report.path.values.size - 1
         assert report.path.corrector_iterations == sum(evals) > 0
 
     @pytest.mark.parametrize("eps_touch", [None, 1e-2])
-    def test_reference_case_takes_few_evaluations_per_step(self, eps_touch):
-        # Newton from the bracket's upper end, against ~52 per step when
-        # each root was bisected to adjacent doubles
-        prob = FracProblem.power_law(0.5, -1.0, -1.0, 1.0, 1.0)
-        report = detect_extinction(prob, eps_touch)
+    def test_reference_case_takes_few_evaluations_per_step(self, eps_touch, monkeypatch):
+        # every power of the march: one for the touch test at x_star and
+        # about 4 in the corrector, the accepted one included
+        calls = []
+        inner = math.pow
+
+        def counting(x, y):
+            calls.append(x)
+            return inner(x, y)
+
+        monkeypatch.setattr(math, "pow", counting)
+        report = detect_extinction(FracProblem.power_law(0.5, -1.0, -1.0, 1.0, 1.0), eps_touch)
         steps = report.path.values.size - 1
-        assert report.path.corrector_iterations <= 4 * steps
+        assert len(calls) <= 5.01 * steps
+
+    @pytest.mark.parametrize(
+        "gamma,A,p,u0",
+        [(0.5, -1.0, -1.0, 1.0), (0.7, -2.0, -0.5, 1.5), (0.4, -1.0, -4.0, 1.0)],
+    )
+    def test_steps_need_no_bracket_fallback(self, gamma, A, p, u0, monkeypatch):
+        # the held-f start lies above the root on the convex branch, so
+        # the secant steps converge without the bracket
+        def fail(*args):
+            raise AssertionError("bracket fallback taken")
+
+        monkeypatch.setattr(solver, "_bracket_solve", fail)
+        report = detect_extinction(FracProblem.power_law(gamma, A, p, u0, 1.0))
+        assert report.touch_time < report.upper_bound_time
 
     def test_rejects_problems_without_extinction_shape(self):
         with pytest.raises(ValueError):
@@ -495,43 +523,13 @@ class TestDetectExtinction:
         with pytest.raises(ValueError, match="power-law"):
             detect_extinction(FracProblem.from_rhs(0.5, "-sin(u)", 1.0, 1.0))
 
-
-class TestNewtonDown:
-    @staticmethod
-    def recording(phi):
-        calls = []
-
-        def wrapped(x):
-            calls.append(x)
-            return phi(x)
-
-        return wrapped, calls
-
-    def test_convex_root_in_few_evaluations(self):
-        def phi(x):
-            return x**3 - 2.0, 3.0 * x**2
-
-        phi, calls = self.recording(phi)
-        root, evals = solver._newton_down(phi, 1.0, -1.0, 2.0, phi(2.0))
-        assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * math.ulp(root)
-        assert evals == len(calls) - 1 <= 8  # the first call was hi's
-        assert calls == sorted(calls, reverse=True)  # monotone from hi
-
-    def test_step_leaving_the_bracket_falls_back_to_bisection(self):
-        # concave, so the first Newton step from hi overshoots below lo
-        def phi(x):
-            return math.sqrt(x) - 1.0, 0.5 / math.sqrt(x)
-
-        root, evals = solver._newton_down(phi, 0.01, -0.9, 100.0, phi(100.0))
-        assert abs(root - 1.0) <= 2.0 * math.ulp(1.0)
-        assert evals >= 50  # the bisection's evaluations are counted
-
-    def test_flat_slope_falls_back_to_bisection(self):
-        def phi(x):
-            return x - 0.5, 0.0
-
-        root, evals = solver._newton_down(phi, 0.0, -0.5, 1.0, phi(1.0))
-        assert (root, evals) == (0.5, 1)
+    @pytest.mark.parametrize("eps_touch", [2.0, 1.0, 0.0, -1e-3, math.nan])
+    def test_rejects_touch_threshold_outside_the_start(self, eps_touch):
+        # a threshold at or above u0 would read the first step as a
+        # touch, and one at or below 0 would never trigger
+        prob = FracProblem.power_law(0.5, -1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="eps_touch"):
+            detect_extinction(prob, eps_touch)
 
 
 class TestBisect:
