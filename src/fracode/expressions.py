@@ -275,15 +275,22 @@ def evaluate(e: Expr, t: float, u: float) -> float:
 
     Domain failures (log of a nonpositive value, 0 raised to a negative
     power, division by zero) and overflow to non-finite raise EvalError
-    pointing at the responsible node.
+    pointing at the responsible node.  A node the parser cannot build
+    (a foreign object, another variable, operator or function, a wrong
+    arity, a non-finite literal) raises TypeError.
     """
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else u
-    if isinstance(e, Unary):
-        return -evaluate(e.arg, t, u)
-    if isinstance(e, Binary):
+        if math.isfinite(e.value):
+            return e.value
+    elif isinstance(e, Var):
+        if e.name == "t":
+            return t
+        if e.name == "u":
+            return u
+    elif isinstance(e, Unary):
+        if e.op == "-":
+            return -evaluate(e.arg, t, u)
+    elif isinstance(e, Binary) and e.op in _LBP:
         a = evaluate(e.left, t, u)
         b = evaluate(e.right, t, u)
         if e.op == "+":
@@ -301,7 +308,7 @@ def evaluate(e: Expr, t: float, u: float) -> float:
         if not math.isfinite(r):
             raise EvalError(f"non-finite result from '{e.op}'", e.offset)
         return r
-    if isinstance(e, Call):
+    elif isinstance(e, Call) and len(e.args) == _FUNCTIONS.get(e.fn):
         vals = [evaluate(a, t, u) for a in e.args]
         try:
             if e.fn == "sin":
@@ -327,7 +334,7 @@ def evaluate(e: Expr, t: float, u: float) -> float:
         if not math.isfinite(r):
             raise EvalError(f"non-finite result from {e.fn}", e.offset)
         return r
-    raise TypeError(f"not an Expr node: {e!r}")
+    raise TypeError(f"not a node of the expression grammar: {e!r}")
 
 
 class _Emitter:
@@ -360,13 +367,13 @@ class _Emitter:
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing `e`; return the name holding it."""
-        if isinstance(e, Num):
+        if isinstance(e, Num) and math.isfinite(e.value):
             return self.bind(e.value)
-        if isinstance(e, Var):
+        if isinstance(e, Var) and e.name in _VARIABLES:
             return "t" if e.name == "t" else "u"
-        if isinstance(e, Unary):
+        if isinstance(e, Unary) and e.op == "-":
             return self.assign(f"-{self.emit(e.arg)}")
-        if isinstance(e, Binary):
+        if isinstance(e, Binary) and e.op in _LBP:
             a = self.emit(e.left)
             b = self.emit(e.right)
             if e.op == "/":
@@ -392,9 +399,7 @@ class _Emitter:
             self.fail(f"overflow in {e.fn}", e.offset, "    ", " from None")
             self.check_finite(r, f"non-finite result from {e.fn}", e.offset)
             return r
-        # anything else (an unknown function or a wrong arity in a tree
-        # built by hand, a foreign object) goes through the tree walker
-        return self.assign(f"_evaluate({self.bind(e)}, t, u)")
+        raise TypeError(f"not a node of the expression grammar: {e!r}")
 
     def check_finite(self, name: str, message: str, offset: int) -> None:
         self.lines.append(f"if not _isfinite({name}):")
@@ -412,7 +417,6 @@ _COMPILED_HELPERS = {
     "_OverflowError": OverflowError,
     "_pow": _pow,
     "_isfinite": math.isfinite,
-    "_evaluate": evaluate,
     "_sin": math.sin,
     "_cos": math.cos,
     "_exp": math.exp,
@@ -429,8 +433,9 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     The function runs the same operations as `evaluate(e, t, u)` in the
     same order and raises the same EvalError messages and offsets, so
     its results agree bit for bit; it only skips the per-node dispatch.
-    Compile once per tree and call many times; `evaluate` stays the
-    reference.
+    A tree `evaluate` rejects with TypeError is rejected here, at
+    compile time.  Compile once per tree and call many times; `evaluate`
+    stays the reference.
     """
     em = _Emitter()
     result = em.emit(e)

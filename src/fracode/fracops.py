@@ -17,16 +17,17 @@ x^(gamma+1) - y^(gamma+1) = x d0 + h P gives the first moment; the tip
 cell (y = 0) is one scalar power.  On a known mesh the kernel forms
 whole blocks of rows at once (`_moment_blocks`, at most _BLOCK_CELLS
 cells each): the operators take each block's rows as matrix-vector
-products, and `solve` reads its rows one by one out of the held block
-(`_DirectRows`); the adaptive marches, whose next node is not known,
-make one call per step.  `frac_integral` and the solver's history take
-the Adams weights from one place, `_corrector_cells` and
-`_corrector_tip`.  On meshes of at least _SOE_MIN_NODES nodes
-all three take the cells behind the tip from node _SOE_START on out
-of a sum of exponentials (`_soe`, `_FarHistory`), O(N K) instead of
-the direct O(N^2) sums; shorter meshes and the first _SOE_START nodes
-stay direct.  Summation order is fixed on every path, so results are
-bitwise deterministic; the paths agree to rounding, not bitwise.
+products, and `solve` reads each row once, in order (`_block_rows`);
+the adaptive marches, whose next node is not known, make one call per
+step.  `frac_integral` and the solver's history take the Adams weights
+from one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
+at least _SOE_MIN_NODES nodes all three take the cells behind the tip
+from node _SOE_START on out of a sum of exponentials (`_soe`,
+`_FarHistory`), O(N K) instead of the direct O(N^2) sums; shorter
+meshes and the first _SOE_START nodes stay direct; `_known_mesh` makes
+that split for all three.  Summation order is fixed on every path, so
+results are bitwise deterministic; the paths agree to rounding, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -224,31 +225,6 @@ def _corrector_tip(gamma: float, inv_g: float, cells, tip, f_tip):
     return inv_g * (cells + f_tip * tip / g1), inv_g * tip / (gamma * g1)
 
 
-class _DirectRows:
-    """Kernel moment rows 1..stop-1 of a march over the known nodes t.
-
-    `row(n)` is what `_trapezoid_moments(gamma, t[n], t[: n + 1])` returns,
-    bit for bit, read from a block of rows formed at once
-    (`_moment_blocks`); a row outside the held block forms the block
-    that starts there, as `_FarHistory` serves its mode rows.
-    """
-
-    def __init__(self, gamma: float, t: np.ndarray, stop: int):
-        self._gamma, self._t, self._stop = gamma, t, stop
-        self._h = np.diff(t)
-        self._lo = self._hi = 0  # rows held
-
-    def row(self, n: int):
-        if not self._lo <= n < self._hi:
-            self._block = None  # the held rows go before the next are formed
-            self._lo, self._hi, *self._block = next(
-                _moment_blocks(self._gamma, self._t, self._h, n, self._stop)
-            )
-        d0, P, tips = self._block
-        i = n - self._lo
-        return d0[i, : n - 1], P[i, : n - 1], float(tips[i])
-
-
 # --- sum-of-exponentials far history -------------------------------------
 
 # A march over a known mesh of at least _SOE_MIN_NODES nodes serves node
@@ -376,9 +352,23 @@ class _FarHistory:
         self.H += right * wb
 
 
-def _far_history(gamma: float, t: np.ndarray) -> _FarHistory | None:
-    """Modes for a march over the known nodes t, or None: short meshes stay direct."""
-    return _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
+def _known_mesh(gamma: float, t: np.ndarray, h: np.ndarray):
+    # (blocks, far, stop) for a march over the known nodes t, h = np.diff(t):
+    # rows 1..stop-1 are direct, the `_moment_blocks`, and far serves rows
+    # stop.. on; a mesh under _SOE_MIN_NODES nodes has far None, stop t.size
+    far = _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
+    stop = t.size if far is None else _SOE_START
+    return _moment_blocks(gamma, t, h, 1, stop), far, stop
+
+
+def _block_rows(blocks):
+    # the rows of blocks in order, each what the one-row call
+    # _trapezoid_moments(gamma, t[n], t[: n + 1]) gives, bit for bit; a
+    # block is released before the next is formed
+    for lo, hi, d0, P, tips in blocks:
+        for i, n in enumerate(range(lo, hi)):
+            yield d0[i, : n - 1], P[i, : n - 1], float(tips[i])
+        del d0, P, tips
 
 
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
@@ -398,9 +388,8 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     s = df / h
     inv_g = 1.0 / gamma_fn(gamma)
     out = np.zeros(t.size)
-    far = _far_history(gamma, t)
-    stop = t.size if far is None else _SOE_START
-    for lo, hi, d0, P, tip in _moment_blocks(gamma, t, h, 1, stop):
+    blocks, far, stop = _known_mesh(gamma, t, h)
+    for lo, hi, d0, P, tip in blocks:
         c = hi - 2  # cells behind the last row's tip
         x = t[lo:hi, None] - t[:c]
         _, cells = _corrector_cells(gamma, x, d0, P, v[:c], s[:c], df[:c])
@@ -436,9 +425,8 @@ def caputo_l1(gamma: float, u: SampledFn, u0: float) -> SampledFn:
     out = np.zeros(t.size)
     # x^q - y^q = q int tau^(-gamma) over a cell: the far modes take the
     # constant slope at both ends of each cell
-    far = _far_history(q, t)
-    stop = t.size if far is None else _SOE_START
-    for lo, hi, d, P, tip in _moment_blocks(q, t, h, 1, stop):
+    blocks, far, stop = _known_mesh(q, t, h)
+    for lo, hi, d, P, tip in blocks:
         out[lo:hi] = inv_g2 * (d @ slopes[: hi - 2] + slopes[lo - 1 : hi - 1] * tip)
         del d, P, tip  # before the next block is formed
     if far is not None:

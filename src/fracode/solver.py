@@ -13,15 +13,15 @@ numpy buffers that grow by doubling, handed to the exact kernel
 moments of fracops as slices; the Adams weights come from
 `fracops._corrector_cells` and `fracops._corrector_tip`, which
 `fracops.frac_integral` (u0 = 0) applies to blocks of rows.  On a
-known mesh (`solve`) the moment rows come from blocks formed ahead
-(`fracops._DirectRows`), and on one of at least
-`fracops._SOE_MIN_NODES` nodes the cells behind the tip come from
-sum-of-exponentials modes from node `fracops._SOE_START` on, O(N K)
-per march with K ~ 100-200 modes; the adaptive marches, whose steps
-are not known ahead, form one row per step, and they and shorter
-meshes keep the direct O(N^2) sums.  Every path sums in a fixed order,
-so a rerun is bitwise identical; the paths agree with each other to
-rounding, not bit for bit.
+known mesh (`solve`) each moment row is read once, in order, from
+blocks formed ahead, and on one of at least `fracops._SOE_MIN_NODES`
+nodes the cells behind the tip come from sum-of-exponentials modes
+from node `fracops._SOE_START` on, O(N K) per march with K ~ 100-200
+modes (`fracops._known_mesh` makes the split); the adaptive marches,
+whose steps are not known ahead, form one row per step, and they and
+shorter meshes keep the direct O(N^2) sums.  Every path sums in a fixed
+order, so a rerun is bitwise identical; the paths agree with each other
+to rounding, not bit for bit.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
@@ -44,13 +44,12 @@ import numpy as np
 
 from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
 from fracode.fracops import (
-    _SOE_START,
     Mesh,
     SampledFn,
+    _block_rows,
     _corrector_cells,
     _corrector_tip,
-    _DirectRows,
-    _far_history,
+    _known_mesh,
     _trapezoid_moments,
 )
 from fracode.specfun import EPS, gamma_fn
@@ -331,14 +330,15 @@ class _History:
     of the last `weights` call, up to `cap` nodes, caching the increment
     df and slope df/h of f on the cell it closes.  `solve` marches a
     fixed mesh the same way, node by node, with its `nodes` given ahead:
-    the mesh size is the cap, the moment rows are read out of blocks
-    formed ahead (`fracops._DirectRows`, the same bits as one call per
-    row), and a long mesh takes the far history from
-    `fracops._FarHistory` from node _SOE_START on (one dot per `weights`,
-    one update of the modes per `accept`); the predictor then takes the
-    corrector's far part, and the held rows are dropped.  Otherwise the
-    kernel sees slices of the buffers, never rebuilt arrays, and the
-    sums are the direct O(N^2) ones in a fixed order.
+    the mesh size is the cap, each `weights` call reads the next moment
+    row of blocks formed ahead (`fracops._block_rows`, the same bits as
+    one call per row), and a long mesh takes the far history from
+    `fracops._FarHistory` from the split `fracops._known_mesh` sets on
+    (one dot per `weights`, one update of the modes per `accept`); the
+    predictor then takes the corrector's far part, and the held rows are
+    dropped.  Otherwise the kernel sees slices of the buffers, never
+    rebuilt arrays, and the sums are the direct O(N^2) ones in a fixed
+    order.
     `fracops.frac_integral` takes the same weights (u0 = 0) over blocks
     of rows and marches no `_History`.
     """
@@ -351,10 +351,10 @@ class _History:
         self.inv_g = 1.0 / gamma_fn(gamma)
         self.cap = cap if nodes is None else nodes.size
         self._far = self._rows = None
+        self._stop = math.inf  # the first node served by the far modes
         if nodes is not None:
-            self._far = _far_history(gamma, nodes)
-            stop = nodes.size if self._far is None else _SOE_START
-            self._rows = _DirectRows(gamma, nodes, stop)
+            blocks, self._far, self._stop = _known_mesh(gamma, nodes, np.diff(nodes))
+            self._rows = _block_rows(blocks)
         self._t = np.zeros(_HISTORY_START)
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
@@ -390,8 +390,8 @@ class _History:
         self._h[k] = t_next - self._t[k]
         g = self.gamma
         fk = float(self._f[k])
-        if self._far is not None and n >= _SOE_START:
-            if n == _SOE_START:
+        if n >= self._stop:
+            if n == self._stop:
                 self._rows = None  # the direct rows are done
                 self._far.start(self._f[:k], self._f[1:n])
             far = self._far.far(n)
@@ -400,7 +400,7 @@ class _History:
             hist, w = _corrector_tip(g, self.inv_g, far, tip, fk)
             return pred, self.u0 + hist, w
         if self._rows is not None:
-            d0, P, tip = self._rows.row(n)
+            d0, P, tip = next(self._rows)
         else:
             d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
         # the predictor shares f_j M0 with the corrector
@@ -418,7 +418,7 @@ class _History:
         self._f[self.n] = f_next
         self._df[self.n - 1] = df = f_next - self._f[self.n - 1]
         self._s[self.n - 1] = df / self._h[self.n - 1]
-        if self._far is not None and self.n >= _SOE_START:
+        if self.n >= self._stop:
             self._far.absorb(self.n, self._f[self.n - 1], f_next)
         self.n += 1
 
@@ -524,12 +524,15 @@ def detect_blowup(
     so the floor stop is itself blow-up evidence).  The blow-up time
     and strength come from linear regression on w = u^{-(p-1)/gamma},
     which the asymptotic law makes an affine function of t; the
-    exponent is then re-fitted freely as an independent check, and the
-    whole march is repeated at refined step tolerances to measure the
-    drift of the estimate.
+    exponent is then re-fitted freely as an independent check.
+    refine_levels = L >= 1 sets the step tolerance of the reported
+    march, eta = 0.2 * 2^-L; the march is repeated once at twice that
+    eta, and the relative move of the blow-up time between the two is
+    `refinement_drift`.
 
     Raises NonBlowupError if u stays below u_max out to 100*T, and
-    ValueError for p < 1.01 where the asymptotic constants degenerate.
+    ValueError for p < 1.01 where the asymptotic constants degenerate
+    or for L < 1.
     """
     _require_power(prob, "detect_blowup")
     A, p, gamma = prob.A, prob.p, prob.gamma
@@ -541,6 +544,8 @@ def detect_blowup(
         raise ValueError("blow-up regime needs u0 > 0")
     if not u_max > prob.u0:
         raise ValueError(f"u_max must exceed u0, got {u_max!r}")
+    if refine_levels < 1:
+        raise ValueError(f"refine_levels must be >= 1, got {refine_levels!r}")
 
     from fracode.asymptotics import blowup_constant_theory, fit_power
 
@@ -559,21 +564,14 @@ def detect_blowup(
         # resolution of the time axis well before u_max; by then u has grown
         # by several decades, which is all the w-regression needs.
         accept_bar = 1e2 * max(1.0, prob.u0)
-        while True:
+        while hist.u[-1] < u_max:
             t_n, u_n = hist.t[-1], hist.u[-1]
-            if u_n >= u_max:
-                return hist, iters
-            h = min(_growth_step(gamma, A, p, u_n, eta), 2.0 * h_prev)
-            floor = 32.0 * math.ulp(t_n) if t_n > 0 else 0.0
-            if h <= floor:
-                if u_n >= accept_bar:
-                    return hist, iters
-                raise StepCollapseError("stalled before divergence", t_n)
             if t_n > horizon:
                 raise NonBlowupError(
                     f"u stayed below u_max={u_max:g} out to t={horizon:g}"
                 )
-            accepted = False
+            h = min(_growth_step(gamma, A, p, u_n, eta), 2.0 * h_prev)
+            floor = 32.0 * math.ulp(t_n) if t_n > 0 else 0.0
             while h > floor:
                 t_next = t_n + h
                 try:
@@ -583,17 +581,17 @@ def detect_blowup(
                     if not (x > 0.0 and math.isfinite(x) and math.isfinite(fx)):
                         raise EvalError("corrector lost its root", 0)
                     hist.accept(x, fx)
-                    accepted = True
                     break
                 except EvalError:
                     h *= 0.25  # overflow inside the step; resolve finer
-            if not accepted:
+            else:
                 if u_n >= accept_bar:
                     return hist, iters  # divergence outran the float grid
                 raise StepCollapseError("stalled before divergence", t_n)
             h_prev = h
+        return hist, iters
 
-    def estimate(hist) -> tuple[float, float, object]:
+    def estimate(hist) -> tuple[float, float, np.ndarray]:
         t = np.array(hist.t)
         u = np.array(hist.u)
         # one decade of tb - t spans gamma/(p-1) decades of u, so widen the
@@ -607,20 +605,13 @@ def detect_blowup(
         slope, intercept = np.polyfit(ts, w, 1)
         tb = -intercept / slope
         c_fit = (-slope) ** (-gamma / (p - 1.0))
-        return tb, c_fit, (ts, us, sel)
+        return tb, c_fit, ts
 
-    etas = [0.2 * 0.5**k for k in range(max(1, refine_levels) + 1)]
-    tbs = []
-    last = None
-    iters = 0
-    for eta in etas:
-        hist, iters = march(eta)
-        tb, c_fit, win = estimate(hist)
-        tbs.append(tb)
-        last = (hist, c_fit, win)
-    hist, c_fit, (t_sel, _, _) = last
-    tb = tbs[-1]
-    drift = abs(tbs[-1] - tbs[-2]) / abs(tbs[-1])
+    eta = 0.2 * 0.5**refine_levels
+    tb_coarse = estimate(march(2.0 * eta)[0])[0]
+    hist, iters = march(eta)
+    tb, c_fit, t_sel = estimate(hist)
+    drift = abs(tb - tb_coarse) / abs(tb)
 
     path = hist.path(PathStatus.BLOWUP_SUSPECTED, iters)
     free = fit_power(path, (t_sel[0], t_sel[-1]), t_b=tb)

@@ -315,6 +315,14 @@ class TestBlowupCommand:
         assert "u_max" in err
         assert "DLASCL" not in err
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_fewer_than_one_refinement_level_is_usage_error(self, cli, levels):
+        rc, out, err = cli("blowup", "--gamma", "0.5", "--A", "1", "--p", "2", "--u0", "1",
+                           "--u-max", "1e4", "--refine-levels", levels)
+        assert rc == 2
+        assert out == ""
+        assert "refine_levels" in err
+
 
 class TestExtinctionCommand:
     def test_reference_problem(self, cli):

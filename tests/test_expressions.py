@@ -28,6 +28,7 @@ from fracode.expressions import (
     parse,
     to_str,
 )
+from fracode.solver import FracProblem
 
 
 class TestParse:
@@ -326,22 +327,30 @@ class TestAgainstPythonInterpreter:
         _assert_compiled_matches(parse(src), 0.5, u)
 
     def test_compiled_trees_outside_the_grammar(self):
-        # shapes only a caller building nodes by hand can make
+        # shapes only a caller building nodes by hand can make: the tree
+        # walker refuses them when it meets them, the compiler before it
+        # emits code
         for tree in (
+            Var("x"),
+            Unary("+", Var("u")),
+            Binary("%", Var("u"), Num(2.0)),
+            Binary("^", Var("u"), Num(math.inf)),
+            Binary("+", Num(1.0), Var("x")),
+            Call("hypot", (Var("u"), Num(2.0))),
+            Call("sin", (Var("u"), Num(2.0))),
+            Call("min", (Var("u"),)),
             Num(math.inf),
             Call("sin", (Num(math.inf),)),
-            Call("min", (Var("u"),)),
-            Call("hypot", (Var("u"), Num(2.0))),
-            Binary("^", Var("u"), Num(math.inf)),
+            "u",
         ):
-            for u in (-2.0, 0.5):
-                try:
-                    want = evaluate(tree, 0.0, u)
-                except Exception as exc:
-                    with pytest.raises(type(exc)):
-                        compile_expr(tree)(0.0, u)
-                else:
-                    assert compile_expr(tree)(0.0, u) == want
+            with pytest.raises(TypeError, match="grammar"):
+                evaluate(tree, 0.0, 0.5)
+            with pytest.raises(TypeError, match="grammar"):
+                compile_expr(tree)
+
+    def test_untagged_rhs_outside_the_grammar_is_refused(self):
+        with pytest.raises(TypeError, match="grammar"):
+            FracProblem.from_rhs(0.5, Binary("%", Var("u"), Num(2.0)), 1.0, 1.0)
 
 
 class TestPowerLawMatch:

@@ -359,9 +359,11 @@ class TestDetectBlowup:
         )
 
     def test_bracket_fallback_keeps_the_fit(self, monkeypatch):
-        # at p = 4 some steps are too long for the convex rhs: the secant
-        # meets the fold (slope <= 0), the bracket finds no root and the
-        # march cuts the step; the fit still meets criterion 3
+        # at p = 4 some steps of the eta = 0.2 march (refine_levels=1
+        # marches it, as the coarse level) are too long for the convex
+        # rhs: the secant meets the fold (slope <= 0), the bracket finds
+        # no root and the march cuts the step; the fit still meets
+        # criterion 3
         calls = []
         inner = solver._bracket_solve
 
@@ -370,7 +372,8 @@ class TestDetectBlowup:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_bracket_solve", spy)
-        report = detect_blowup(FracProblem.power_law(0.5, 1.0, 4.0, 1.0, 1.0), u_max=1e4)
+        prob = FracProblem.power_law(0.5, 1.0, 4.0, 1.0, 1.0)
+        report = detect_blowup(prob, u_max=1e4, refine_levels=1)
         assert calls
         want = 0.5 / 3.0
         assert abs(report.exponent_fit - want) <= 0.03 * want
@@ -380,7 +383,7 @@ class TestDetectBlowup:
     def test_bracket_fallback_stops_at_the_peak(self, monkeypatch):
         # phi(x) = x - hist - w A x^p is concave: one evaluation at its
         # peak shows there is no root, where the span doublings took 160
-        # (1,440 over the nine fallbacks of this march)
+        # (1,440 over the nine fallbacks, all in the eta = 0.2 march)
         inner = solver._bracket_solve
         counts = {"fallbacks": 0, "evals": 0}
 
@@ -398,10 +401,10 @@ class TestDetectBlowup:
 
         prob = FracProblem.power_law(0.5, 1.0, 4.0, 1.0, 1.0)
         monkeypatch.setattr(solver, "_bracket_solve", spy)
-        report = detect_blowup(prob, u_max=1e4)
+        report = detect_blowup(prob, u_max=1e4, refine_levels=1)
         assert counts == {"fallbacks": 9, "evals": 9}
         monkeypatch.setattr(solver, "_bracket_solve", without_peak)
-        slow = detect_blowup(prob, u_max=1e4)
+        slow = detect_blowup(prob, u_max=1e4, refine_levels=1)
         for name in ("Tb_estimate", "exponent_fit", "constant_fit", "refinement_drift"):
             assert getattr(report, name) == getattr(slow, name), name
         assert np.array_equal(report.path.values, slow.path.values)
@@ -409,8 +412,10 @@ class TestDetectBlowup:
         assert report.path.corrector_iterations == slow.path.corrector_iterations
 
     def test_steep_power_still_collapses(self):
-        # p = 5 outruns the growth-limited steps; the peak test only
-        # makes the failing fallbacks cheap
+        # at p = 5 the eta = 0.1 march stops at t = 0.01470, where
+        # Tb - t is a few floors of 32 ulp(t): doubles no longer resolve
+        # the time axis, whatever the step rule; the peak test only makes
+        # the failing fallbacks cheap
         with pytest.raises(StepCollapseError):
             detect_blowup(FracProblem.power_law(0.5, 1.0, 5.0, 1.0, 1.0), u_max=1e4)
 
@@ -439,6 +444,27 @@ class TestDetectBlowup:
             detect_blowup(FracProblem.power_law(0.5, 1.0, 2.0, -1.0, 1.0))
         with pytest.raises(ValueError, match="power-law"):
             detect_blowup(FracProblem.from_rhs(0.5, "sin(u)", 1.0, 1.0))
+
+    @pytest.mark.parametrize("refine_levels", [1, 2, 3])
+    def test_marches_exactly_two_levels(self, refine_levels, monkeypatch):
+        # the finest eta = 0.2 / 2^L and twice that, whatever L
+        built = []
+
+        class Spy(solver._History):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_History", Spy)
+        prob = FracProblem.power_law(0.5, 1.0, 2.0, 1.0, 1.0)
+        detect_blowup(prob, u_max=1e4, refine_levels=refine_levels)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("refine_levels", [0, -3])
+    def test_rejects_fewer_than_one_refinement_level(self, refine_levels):
+        prob = FracProblem.power_law(0.5, 1.0, 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="refine_levels"):
+            detect_blowup(prob, refine_levels=refine_levels)
 
     @pytest.mark.parametrize("u_max", [1.0, 0.5, math.nan])
     def test_rejects_threshold_at_or_below_the_start(self, u_max):
