@@ -26,5 +26,11 @@ head -3 du.csv
 echo '# blow-up report for D^0.5 u = u^2'
 fracode blowup --gamma 0.5 --A 1 --p 2 --u0 1 | python3 -m json.tool | grep -E 'Tb|constant|drift'
 
+echo '# extinction report for D^0.5 u = -1/u, replayed from its report'
+fracode extinction --gamma 0.5 --A -1 --p -1 --u0 1 > extinction.json
+grep -E 'touch|bound' extinction.json
+fracode --config extinction.json > extinction2.json
+cmp extinction.json extinction2.json && echo 'extinction replay matches'
+
 echo '# the verification gate: resolvent identities at n = 2048'
 fracode verify resolvent --n 2048 | python3 -m json.tool | grep -E 'pass|residual|identity'

@@ -27,7 +27,8 @@ On top of plain `solve` sit two adaptive marches tied to the power-law
 right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
 into its singularity with growth-limited geometrically shrinking steps
 and fits the blow-up time and strength; `detect_extinction` (A<0, p<0)
-follows the decay until the corrector equation loses its positive root,
+follows the decay, each step sized from the relative change of u over
+the last one, until the corrector equation loses its positive root,
 which is the discrete signature of the solution touching 0.  In all
 three marches `SolutionPath.corrector_iterations` counts the rhs
 evaluations of `_corrector`, the accepted one included.
@@ -504,6 +505,10 @@ def _require_power(prob: FracProblem, what: str):
         raise ValueError(f"{what} needs a power-law right-hand side")
 
 
+# relative change of u per step that the extinction march aims at
+_EXTINCTION_ETA = 0.01
+
+
 def _growth_step(gamma: float, absA: float, p: float, u: float, eta: float) -> float:
     # step making the kernel-weighted increment about eta*u:
     # h^gamma |A| u^p / Gamma(1+gamma) = eta u
@@ -631,9 +636,20 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
 
     The corrector equation x = hist + w*A*x^p (A<0, p<0) has a
     positive root only while the history admits one; the root
-    disappearing inside a step is the discrete touch signal.  Also
-    reports the closed-form upper bound for the touch time obtained by
-    freezing the right-hand side at its initial (least negative) value.
+    disappearing inside a step is the discrete touch signal, and the
+    step is halved until it localizes the touch.  Also reports the
+    closed-form upper bound for the touch time obtained by freezing the
+    right-hand side at its initial (least negative) value.
+
+    Steps follow what the path does.  The first two are the growth step
+    for a relative change of `_EXTINCTION_ETA` (0.01) from rest; after
+    that each step rescales the last one so that u changes by about
+    eta u_n, h = eta u_n h_prev / |u_n - u_{n-1}|, capped at twice the
+    last step and at 0.05 times the bound.  The corrector starts
+    from f extrapolated linearly along the last cell.  The march ends
+    when u falls to eps_touch (default 1e-6 u0), at the touch, or, once
+    steps reach the resolution of the time axis, at the floor or drain
+    exits.
     """
     _require_power(prob, "detect_extinction")
     A, p, gamma, u0 = prob.A, prob.p, prob.gamma, prob.u0
@@ -646,15 +662,19 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
 
     absA = abs(A)
     bound = _growth_step(gamma, absA, p, u0, 1.0)
-    f_n = prob.f(0.0, u0)  # f at the last accepted node
+    f_n = f_prev = prob.f(0.0, u0)  # f at the last two accepted nodes
     hist = _History(gamma, u0, f_n)
     iters = 0
-    eta = 0.05
     h_prev = math.inf
     touch = None
     while touch is None:
         t_n, u_n = hist.t[-1], hist.u[-1]
-        h = min(_growth_step(gamma, absA, p, u_n, eta), 2.0 * h_prev, 0.05 * bound)
+        if hist.n <= 2:
+            h = _growth_step(gamma, absA, p, u_n, _EXTINCTION_ETA)
+        else:
+            # rescale the last step to a change of _EXTINCTION_ETA * u_n
+            h = _EXTINCTION_ETA * u_n * h_prev / abs(u_n - hist.u[-2])
+        h = min(h, 2.0 * h_prev, 0.05 * bound)
         floor = 32.0 * math.ulp(t_n) if t_n > 0 else 0.0
         if h <= floor or t_n > 4.0 * bound:
             if u_n <= 0.05 * u0:
@@ -681,15 +701,18 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                     continue
                 touch = t_next
                 break
-            # the root is right of x_star, where phi rises; f held at
-            # f_n starts the corrector above it
-            x, f_n, used = _corrector(
-                prob.f, t_next, hval, w, max(hval + w * f_n, x_star), x_star
+            # the root is right of x_star, where phi rises; start the
+            # corrector from f extrapolated along the last cell (held
+            # on the first step, where h_prev is inf)
+            f_est = f_n + (f_n - f_prev) * h / h_prev
+            x, f_next, used = _corrector(
+                prob.f, t_next, hval, w, max(hval + w * f_est, x_star), x_star
             )
             iters += used
-            if math.isnan(f_n):
+            if math.isnan(f_next):
                 raise EvalError("corrector lost its root", 0)
-            hist.accept(x, f_n)
+            hist.accept(x, f_next)
+            f_prev, f_n = f_n, f_next
             if x <= eps_touch:
                 touch = t_next
             break

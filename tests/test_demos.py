@@ -4,7 +4,8 @@ Each `demos/*.py` runs in a subprocess against the package under test
 and must exit 0; together they take about 10 s and drive the solver,
 both adaptive marches and the verification checks end to end.  The
 documented shell session `demos/cli_session.sh` runs under `sh` with a
-`fracode` command on PATH, and its `--config` replay must match.
+`fracode` command on PATH, and its `--config` replays of `solve` and
+`extinction` must match.
 """
 
 import os
@@ -55,6 +56,7 @@ def test_cli_session_runs_and_replays(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "replay matches" in proc.stdout
+    assert "extinction replay matches" in proc.stdout
 
 
 def _package_env() -> dict:

@@ -18,6 +18,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -540,6 +541,45 @@ class TestDetectExtinction:
         monkeypatch.setattr(solver, "_bracket_solve", fail)
         report = detect_extinction(FracProblem.power_law(gamma, A, p, u0, 1.0))
         assert report.touch_time < report.upper_bound_time
+
+    def test_reference_touch_time_and_node_count(self):
+        # converged touch at eps_touch = 1e-2: 0.0986215, where steps sized
+        # from rest at eta 0.0125 (67,712 nodes) and the path-driven rule
+        # at eta 0.00125 agree to 4e-7.  Steps sized from rest on every
+        # node miss both pins (1.7e-5 off, 4,225 nodes)
+        report = detect_extinction(FracProblem.power_law(0.5, -1.0, -1.0, 1.0, 1.0), 1e-2)
+        assert abs(report.touch_time - 0.0986215) <= 1e-5
+        assert report.path.values.size <= 600
+
+    def test_small_gamma_touches_before_its_bound(self):
+        # steps sized from rest fall to 5.7e-9 here and do not reach the
+        # touch in minutes
+        report = detect_extinction(FracProblem.power_law(0.25, -2.0, -0.5, 1.0, 1.0))
+        assert abs(report.upper_bound_time - 0.0421856) < 1e-7
+        assert 0.0 < report.touch_time < report.upper_bound_time
+        assert np.all(np.diff(report.path.values) < 0.0)
+        assert report.path.values.size <= 1_000
+
+    def test_gamma_0_4_marches_few_nodes(self):
+        # steps sized from rest take 31,786 nodes and 13 s here
+        prob = FracProblem.power_law(0.4, -1.0, -1.0, 1.0, 1.0)
+        start = time.perf_counter()
+        report = detect_extinction(prob)
+        elapsed = time.perf_counter() - start
+        assert 0.0 < report.touch_time < report.upper_bound_time
+        assert report.path.values.size <= 1_000
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("p", [-0.5, -1.0, -2.0, -4.0])
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_grid_touches_inside_the_bound(self, gamma, p):
+        # the slowest case of this grid takes about 0.07 s
+        start = time.perf_counter()
+        report = detect_extinction(FracProblem.power_law(gamma, -1.0, p, 1.0, 1.0))
+        elapsed = time.perf_counter() - start
+        assert 0.0 < report.touch_time < report.upper_bound_time
+        assert np.all(np.diff(report.path.values) < 0.0)
+        assert elapsed < 2.0
 
     def test_rejects_problems_without_extinction_shape(self):
         with pytest.raises(ValueError):
