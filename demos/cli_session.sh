@@ -17,7 +17,8 @@ echo "rows: $(wc -l < u.csv)"
 
 echo '# replay from the report: byte-identical output'
 fracode --config report.json --out u2.csv > /dev/null
-cmp u.csv u2.csv && echo 'replay matches'
+cmp u.csv u2.csv
+echo 'replay matches'
 
 echo '# apply the memory-kernel transforms to the sampled path'
 fracode caputo --gamma 0.5 --in u.csv --out du.csv > /dev/null
@@ -30,7 +31,8 @@ echo '# extinction report for D^0.5 u = -1/u, replayed from its report'
 fracode extinction --gamma 0.5 --A -1 --p -1 --u0 1 > extinction.json
 grep -E 'touch|bound' extinction.json
 fracode --config extinction.json > extinction2.json
-cmp extinction.json extinction2.json && echo 'extinction replay matches'
+cmp extinction.json extinction2.json
+echo 'extinction replay matches'
 
 echo '# the verification gate: resolvent identities at n = 2048'
 fracode verify resolvent --n 2048 | python3 -m json.tool | grep -E 'pass|residual|identity'

@@ -662,8 +662,7 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
 
     absA = abs(A)
     bound = _growth_step(gamma, absA, p, u0, 1.0)
-    f_n = f_prev = prob.f(0.0, u0)  # f at the last two accepted nodes
-    hist = _History(gamma, u0, f_n)
+    hist = _History(gamma, u0, prob.f(0.0, u0))
     iters = 0
     h_prev = math.inf
     touch = None
@@ -702,9 +701,10 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                 touch = t_next
                 break
             # the root is right of x_star, where phi rises; start the
-            # corrector from f extrapolated along the last cell (held
-            # on the first step, where h_prev is inf)
-            f_est = f_n + (f_n - f_prev) * h / h_prev
+            # corrector from f extrapolated with the slope of the last
+            # closed cell (held on the first step, which has none)
+            k = hist.n - 1
+            f_est = float(hist._f[k]) + (float(hist._s[k - 1]) * h if k else 0.0)
             x, f_next, used = _corrector(
                 prob.f, t_next, hval, w, max(hval + w * f_est, x_star), x_star
             )
@@ -712,7 +712,6 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
             if math.isnan(f_next):
                 raise EvalError("corrector lost its root", 0)
             hist.accept(x, f_next)
-            f_prev, f_n = f_n, f_next
             if x <= eps_touch:
                 touch = t_next
             break

@@ -55,8 +55,9 @@ def test_cli_session_runs_and_replays(tmp_path):
         capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "replay matches" in proc.stdout
-    assert "extinction replay matches" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert "replay matches" in lines
+    assert "extinction replay matches" in lines
 
 
 def _package_env() -> dict:

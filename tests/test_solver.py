@@ -560,25 +560,18 @@ class TestDetectExtinction:
         assert np.all(np.diff(report.path.values) < 0.0)
         assert report.path.values.size <= 1_000
 
-    def test_gamma_0_4_marches_few_nodes(self):
-        # steps sized from rest take 31,786 nodes and 13 s here
-        prob = FracProblem.power_law(0.4, -1.0, -1.0, 1.0, 1.0)
-        start = time.perf_counter()
-        report = detect_extinction(prob)
-        elapsed = time.perf_counter() - start
-        assert 0.0 < report.touch_time < report.upper_bound_time
-        assert report.path.values.size <= 1_000
-        assert elapsed < 2.0
-
     @pytest.mark.parametrize("p", [-0.5, -1.0, -2.0, -4.0])
     @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_grid_touches_inside_the_bound(self, gamma, p):
-        # the slowest case of this grid takes about 0.07 s
+        # the slowest case of this grid takes about 0.07 s and the largest
+        # 1,368 nodes; steps sized from rest take 31,786 nodes and 13 s at
+        # gamma 0.4, p -1
         start = time.perf_counter()
         report = detect_extinction(FracProblem.power_law(gamma, -1.0, p, 1.0, 1.0))
         elapsed = time.perf_counter() - start
         assert 0.0 < report.touch_time < report.upper_bound_time
         assert np.all(np.diff(report.path.values) < 0.0)
+        assert report.path.values.size <= 2_000
         assert elapsed < 2.0
 
     def test_rejects_problems_without_extinction_shape(self):
