@@ -21,11 +21,14 @@ products, and `solve` reads each row once, in order (`_block_rows`);
 the adaptive marches, whose next node is not known, make one call per
 step.  `frac_integral` and the solver's history take the Adams weights
 from one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
-at least _SOE_MIN_NODES nodes all three take the cells behind the tip
-from node _SOE_START on out of a sum of exponentials (`_soe`,
-`_FarHistory`), O(N K) instead of the direct O(N^2) sums; shorter
-meshes and the first _SOE_START nodes stay direct; `_known_mesh` makes
-that split for all three.  Summation order is fixed on every path, so
+at least _SOE_MIN_NODES nodes all three take the far cells from node
+_SOE_START on out of a sum of exponentials (`_soe`, `_FarHistory`),
+O(N K) instead of the direct O(N^2) sums: `solve` every cell behind
+the tip, one node at a time, and the operators, whose values are all
+known, the cells before each block of _SOE_BLOCK rows, with the
+block's own cells direct (`_known_blocks`); shorter meshes and the
+first _SOE_START nodes stay direct; `_known_mesh` makes that split for
+all three.  Summation order is fixed on every path, so
 results are bitwise deterministic; the paths agree to rounding, not
 bitwise.
 """
@@ -230,9 +233,11 @@ def _corrector_tip(gamma: float, inv_g: float, cells, tip, f_tip):
 # A march over a known mesh of at least _SOE_MIN_NODES nodes serves node
 # _SOE_START on from exponential modes; shorter meshes, and the start,
 # stay direct.  On a 2-vCPU x86_64 machine the modes break even at
-# 1,000-1,500 nodes and at 2,048 save about 30 % of `solve` and 5-15 %
-# of `frac_integral` and `caputo_l1`; below 2,048 (the corpus's n = 256,
-# `verify resolvent --n 1024`) every march keeps the direct path's bits
+# 1,000-1,500 nodes; at 2,048 they save about 35 % of `solve`, and
+# about 50 % of `frac_integral` and 45 % of `caputo_l1`, which take the
+# far rows a block at a time (24 % and 12 % node by node).  Below 2,048
+# (the corpus's n = 256, `verify resolvent --n 1024`) every march keeps
+# the direct path's bits
 _SOE_MIN_NODES = 2048
 _SOE_START = 512
 _SOE_BLOCK = 64  # mesh rows formed at once
@@ -289,14 +294,28 @@ def _soe_rows(s: np.ndarray, w: np.ndarray, h: np.ndarray):
     e = np.exp(-z)
     zc = np.maximum(z, 0.05)  # the closed forms, finite but unused below 0.05
     em = -np.expm1(-zc)
-    a = (em - zc * e) / (zc * zc)
-    b = (zc - em) / (zc * zc)
+    a = zc * e
+    np.subtract(em, a, out=a)
+    b = np.subtract(zc, em, out=em)
+    zc *= zc
+    np.reciprocal(zc, out=zc)
+    a *= zc
+    b *= zc
     small = z < 0.05
     zs = z[small]
-    a[small] = np.polyval(_HAT_A, zs)
-    b[small] = np.polyval(_HAT_B, zs)
+    pa = np.full_like(zs, _HAT_A[0])
+    pb = np.full_like(zs, _HAT_B[0])
+    for ca, cb in zip(_HAT_A[1:], _HAT_B[1:]):  # Horner, as np.polyval
+        pa *= zs
+        pa += ca
+        pb *= zs
+        pb += cb
+    a[small] = pa
+    b[small] = pb
     hw = np.multiply.outer(h, w)
-    return e, a * hw, b * hw
+    a *= hw
+    b *= hw
+    return e, a, b
 
 
 class _FarHistory:
@@ -307,10 +326,17 @@ class _FarHistory:
     horizon, so the integral over every cell before the tip cell is one
     vector H of mode values that each accepted cell updates in place:
     H <- e H + f_left w A + f_right w B (Jiang, Zhang, Zhang & Zhang,
-    Commun. Comput. Phys. 21, 2017).  `far(n)` is that integral at t_n
-    over the cells ending at nodes 1..n-1, for n >= _SOE_START; `start`
-    absorbs the cells ending at nodes 1.._SOE_START-1 and `absorb(n, ...)`
-    the cell ending at node n.  Rows come _SOE_BLOCK cells at a time.
+    Commun. Comput. Phys. 21, 2017).  `start` absorbs the cells ending at
+    nodes 1.._SOE_START-1, _SOE_BLOCK cells at a time (`_cross`).  A
+    march whose values come one node at a time (`solve`) then reads
+    `far(n)`, the integral at t_n over the cells ending at nodes 1..n-1,
+    for n >= _SOE_START, and absorbs the cell ending at node n with
+    `absorb(n, ...)`; its rows come _SOE_BLOCK cells at a time.  An
+    operator whose values are all known takes `blocks` instead:
+    _SOE_BLOCK rows at a time, each row's integral over the cells before
+    the block is one product with H held at the block's left node, the
+    cells inside the block are the caller's direct sums, and H then
+    crosses the block as in `start`.
     """
 
     def __init__(self, gamma: float, t: np.ndarray):
@@ -329,18 +355,37 @@ class _FarHistory:
         i = n - self._lo
         return self._e[i], self._wa[i], self._wb[i]
 
+    def _cross(self, e, wa, wb, left: np.ndarray, right: np.ndarray):
+        # H moved over a chunk of cells with rows e, wa, wb and end values
+        # left, right: each cell decays to the chunk's last node by the
+        # products of the later e's
+        tail = np.ones_like(e)
+        tail[:-1] = np.cumprod(e[:0:-1], axis=0)[::-1]
+        self.H = tail[0] * e[0] * self.H + left @ (tail * wa)
+        self.H += right @ (tail * wb)
+
     def start(self, left: np.ndarray, right: np.ndarray):
-        # cells ending at nodes 1.._SOE_START-1 with end values left, right;
-        # each chunk decays to its last node by the products of later e's
-        H = np.zeros(self.s.size)
+        # cells ending at nodes 1.._SOE_START-1; left[n-1], right[n-1] are
+        # the end values of the cell ending at node n
+        self.H = np.zeros(self.s.size)
         for lo in range(1, _SOE_START, _SOE_BLOCK):
             hi = min(lo + _SOE_BLOCK, _SOE_START)
+            self._cross(*self._rows(lo, hi), left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
+
+    def blocks(self, left: np.ndarray, right: np.ndarray):
+        # (lo, hi, far) for the rows _SOE_START.. of a march whose cell end
+        # values are all known (as in `start`), _SOE_BLOCK rows at a time:
+        # far[i] is the integral at t_{lo+i} over the cells ending at nodes
+        # 1..lo-1, H at t_{lo-1} decayed by the cumulative product of the
+        # block's e rows, exp(-s (t_{lo+i} - t_{lo-1}))
+        self.start(left, right)
+        end = self._h.size + 1
+        for lo in range(_SOE_START, end, _SOE_BLOCK):
+            hi = min(lo + _SOE_BLOCK, end)
             e, wa, wb = self._rows(lo, hi)
-            tail = np.ones_like(e)
-            tail[:-1] = np.cumprod(e[:0:-1], axis=0)[::-1]
-            H = tail[0] * e[0] * H + left[lo - 1 : hi - 1] @ (tail * wa)
-            H += right[lo - 1 : hi - 1] @ (tail * wb)
-        self.H = H
+            yield lo, hi, np.cumprod(e, axis=0) @ self.H
+            if hi < end:
+                self._cross(e, wa, wb, left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
 
     def far(self, n: int) -> float:
         return float(np.dot(self._row(n)[0], self.H))
@@ -359,6 +404,24 @@ def _known_mesh(gamma: float, t: np.ndarray, h: np.ndarray):
     far = _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
     stop = t.size if far is None else _SOE_START
     return _moment_blocks(gamma, t, h, 1, stop), far, stop
+
+
+def _known_blocks(gamma: float, t: np.ndarray, h: np.ndarray, left, right):
+    # (lo, hi, b, d0, P, tips, far) over the rows 1..t.size-1 of an operator
+    # whose cell end values left, right are all known (as in
+    # `_FarHistory.start`): the kernel moments of rows lo..hi-1 over the
+    # cells of t[b:hi], and far the modes' sum over the cells before node
+    # b; a direct block (`_known_mesh`) has b = 0 and far 0.0, a far block
+    # b = lo - 1.  A block is released before the next is formed
+    blocks, far, _ = _known_mesh(gamma, t, h)
+    for lo, hi, *moments in blocks:
+        yield (lo, hi, 0, *moments, 0.0)
+        del moments
+    if far is not None:
+        for lo, hi, soe in far.blocks(left, right):
+            moments = _trapezoid_moments(gamma, t[lo:hi], t[lo - 1 : hi], h[lo - 1 : hi - 1])
+            yield (lo, hi, lo - 1, *moments, soe)
+            del moments
 
 
 def _block_rows(blocks):
@@ -388,20 +451,13 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     s = df / h
     inv_g = 1.0 / gamma_fn(gamma)
     out = np.zeros(t.size)
-    blocks, far, stop = _known_mesh(gamma, t, h)
-    for lo, hi, d0, P, tip in blocks:
-        c = hi - 2  # cells behind the last row's tip
-        x = t[lo:hi, None] - t[:c]
-        _, cells = _corrector_cells(gamma, x, d0, P, v[:c], s[:c], df[:c])
-        hist, w = _corrector_tip(gamma, inv_g, cells, tip, v[lo - 1 : hi - 1])
+    for lo, hi, b, d0, P, tip, far in _known_blocks(gamma, t, h, v[:-1], v[1:]):
+        c = hi - 2  # the cells behind the last row's tip end at node c + 1
+        x = t[lo:hi, None] - t[b:c]
+        _, cells = _corrector_cells(gamma, x, d0, P, v[b:c], s[b:c], df[b:c])
+        hist, w = _corrector_tip(gamma, inv_g, cells + far, tip, v[lo - 1 : hi - 1])
         out[lo:hi] = hist + w * v[lo:hi]
         del x, d0, P, tip  # before the next block is formed
-    if far is not None:
-        far.start(v[: stop - 1], v[1:stop])
-        for n in range(stop, t.size):
-            hist, w = _corrector_tip(gamma, inv_g, far.far(n), float(h[n - 1]) ** gamma, v[n - 1])
-            out[n] = hist + w * v[n]
-            far.absorb(n, v[n - 1], v[n])
     return SampledFn(g.mesh, out)
 
 
@@ -425,15 +481,9 @@ def caputo_l1(gamma: float, u: SampledFn, u0: float) -> SampledFn:
     out = np.zeros(t.size)
     # x^q - y^q = q int tau^(-gamma) over a cell: the far modes take the
     # constant slope at both ends of each cell
-    blocks, far, stop = _known_mesh(q, t, h)
-    for lo, hi, d, P, tip in blocks:
-        out[lo:hi] = inv_g2 * (d @ slopes[: hi - 2] + slopes[lo - 1 : hi - 1] * tip)
+    for lo, hi, b, d, P, tip, far in _known_blocks(q, t, h, slopes, slopes):
+        out[lo:hi] = inv_g2 * (q * far + d @ slopes[b : hi - 2] + slopes[lo - 1 : hi - 1] * tip)
         del d, P, tip  # before the next block is formed
-    if far is not None:
-        far.start(slopes, slopes)
-        for n in range(stop, t.size):
-            out[n] = inv_g2 * (q * far.far(n) + slopes[n - 1] * h[n - 1] ** q)
-            far.absorb(n, slopes[n - 1], slopes[n - 1])
     return SampledFn(u.mesh, out)
 
 

@@ -637,7 +637,7 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
     The corrector equation x = hist + w*A*x^p (A<0, p<0) has a
     positive root only while the history admits one; the root
     disappearing inside a step is the discrete touch signal, and the
-    step is halved until it localizes the touch.  Also reports the
+    step's end is the touch time.  Also reports the
     closed-form upper bound for the touch time obtained by freezing the
     right-hand side at its initial (least negative) value.
 
@@ -686,35 +686,30 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
                 touch = t_n + drain
                 break
             raise StepCollapseError("stalled away from zero", t_n)
-        while True:
-            t_next = t_n + h
-            _, hval, w = hist.weights(t_next)
-            # phi(x) = x - hval - w A x^p dips to a minimum at x_star;
-            # phi(x_star) > 0 means no root: the path hit zero inside
-            # this step
-            x_star = (w * absA * abs(p)) ** (1.0 / (1.0 - p))
-            phi_min = x_star - hval - w * A * _upow(x_star, p)
-            if phi_min > 0.0:
-                if h > floor * 4.0 and h > 1e-12 * max(t_n, bound):
-                    h *= 0.5  # localize the touch further
-                    continue
-                touch = t_next
-                break
-            # the root is right of x_star, where phi rises; start the
-            # corrector from f extrapolated with the slope of the last
-            # closed cell (held on the first step, which has none)
-            k = hist.n - 1
-            f_est = float(hist._f[k]) + (float(hist._s[k - 1]) * h if k else 0.0)
-            x, f_next, used = _corrector(
-                prob.f, t_next, hval, w, max(hval + w * f_est, x_star), x_star
-            )
-            iters += used
-            if math.isnan(f_next):
-                raise EvalError("corrector lost its root", 0)
-            hist.accept(x, f_next)
-            if x <= eps_touch:
-                touch = t_next
+        t_next = t_n + h
+        _, hval, w = hist.weights(t_next)
+        # phi(x) = x - hval - w A x^p dips to a minimum at x_star;
+        # phi(x_star) > 0 means no root: the path hit zero inside
+        # this step
+        x_star = (w * absA * abs(p)) ** (1.0 / (1.0 - p))
+        phi_min = x_star - hval - w * A * _upow(x_star, p)
+        if phi_min > 0.0:
+            touch = t_next
             break
+        # the root is right of x_star, where phi rises; start the
+        # corrector from f extrapolated with the slope of the last
+        # closed cell (held on the first step, which has none)
+        k = hist.n - 1
+        f_est = float(hist._f[k]) + (float(hist._s[k - 1]) * h if k else 0.0)
+        x, f_next, used = _corrector(
+            prob.f, t_next, hval, w, max(hval + w * f_est, x_star), x_star
+        )
+        iters += used
+        if math.isnan(f_next):
+            raise EvalError("corrector lost its root", 0)
+        hist.accept(x, f_next)
+        if x <= eps_touch:
+            touch = t_next
         h_prev = h
 
     path = hist.path(PathStatus.EXTINCTION_SUSPECTED, iters)

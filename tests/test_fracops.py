@@ -596,14 +596,48 @@ class TestFarHistory:
         approx = np.exp(-np.multiply.outer(tau, s)) @ w
         assert np.abs(approx / tau ** (gamma - 1.0) - 1.0).max() <= 1e-13
 
-    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
-    def test_operators_match_the_direct_path(self, gamma, monkeypatch):
-        # measured: at most 5e-15 relative to the largest value
-        mesh = Mesh.graded(1.0, 4096, 2.0 / gamma)
-        assert mesh.nodes.size >= fracops._SOE_MIN_NODES
-        g = _sample(mesh, lambda t: np.cos(7.0 * t) + t)
+    @pytest.mark.parametrize(
+        "gamma,n,kind",
+        [pytest.param(g, 4096, "graded", id=str(g)) for g in (0.2, 0.5, 0.8)]
+        + [pytest.param(g, 4096, "geometric", id=f"geometric-{g}") for g in (0.2, 0.5, 0.8)]
+        + [
+            pytest.param(g, n, "graded", id=f"n{n}-{g}")
+            for n in (2047, 2048, 2100)
+            for g in (0.2, 0.8)
+        ],
+    )
+    def test_operators_match_the_direct_path(self, gamma, n, kind, monkeypatch):
+        # measured: at most 5.3e-15 relative to the largest value on the
+        # graded meshes, 2.4e-15 on the geometric one.  That one is held
+        # to the 2e-13 README states for the long decay, where the direct
+        # path's thin far cells carry the larger rounding error.  Far rows
+        # come _SOE_BLOCK at a time from node _SOE_START on: n = 2047 is a
+        # mesh of exactly _SOE_MIN_NODES nodes whose last block is full,
+        # and n = 2048 and 2100 end on blocks of 1 and 53 rows
+        if kind == "graded":
+            mesh, bound = Mesh.graded(1.0, n, default_grading(gamma)), 1e-13
+        else:
+            mesh, bound = Mesh.geometric(1e6, n, 1e-3), 2e-13
+        t = mesh.nodes
+        assert t.size >= fracops._SOE_MIN_NODES
+        g = _sample(mesh, lambda t: np.cos(7.0 * t / t[-1]) + t / t[-1])
         fast = frac_integral(gamma, g).values, caputo_l1(gamma, g, 1.0).values
-        monkeypatch.setattr(fracops, "_SOE_MIN_NODES", mesh.nodes.size + 1)
+        monkeypatch.setattr(fracops, "_SOE_MIN_NODES", t.size + 1)
         direct = frac_integral(gamma, g).values, caputo_l1(gamma, g, 1.0).values
         for a, b in zip(fast, direct):
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            assert np.abs(a - b).max() <= bound * np.abs(b).max()
+
+    def test_traced_peak_on_the_far_path(self):
+        # measured 792 KiB (852 KiB node by node): the direct start's
+        # blocks of _BLOCK_CELLS cells, then per far block its moments and
+        # mode rows of _SOE_BLOCK rows each
+        mesh = Mesh.graded(1.0, 4096, 4.0)
+        assert mesh.nodes.size >= fracops._SOE_MIN_NODES
+        g = _sample(mesh, lambda t: np.cos(7.0 * t) + t)
+        tracemalloc.start()
+        try:
+            frac_integral(0.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 896 << 10

@@ -758,34 +758,48 @@ class TestFarHistory:
     def test_moments_run_only_for_the_direct_start(self, monkeypatch):
         # solve, frac_integral and caputo_l1 form the direct rows 1..511
         # in blocks of at most _BLOCK_CELLS kernel cells, one kernel call
-        # per block; forced direct, solve's blocks cover all 4096 rows
+        # per block; solve takes nothing else from the kernel, while the
+        # operators add one call per _SOE_BLOCK far rows, over the cells
+        # from the block's left node on; forced direct, solve's blocks
+        # cover all 4096 rows
         calls = []
         moments = fracops._trapezoid_moments
 
         def counted(*args):
-            calls.append(np.atleast_1d(args[1]))
+            calls.append((np.atleast_1d(args[1]), args[2]))
             return moments(*args)
 
         monkeypatch.setattr(fracops, "_trapezoid_moments", counted)
         monkeypatch.setattr(solver, "_trapezoid_moments", counted)
         prob = FracProblem.power_law(0.5, -1.0, 1.0, 1.0, 1.0)
         mesh = Mesh.graded(1.0, 4096, 4.0)
+        nodes = mesh.nodes
+        start, block = fracops._SOE_START, fracops._SOE_BLOCK
         u = solve(prob, mesh).sampled()
         runs = [calls[:]]
         for operator in (fracops.frac_integral, lambda gamma, v: fracops.caputo_l1(gamma, v, 1.0)):
             calls.clear()
             operator(0.5, u)
             runs.append(calls[:])
-        for blocks in runs:
-            assert len(blocks) == 10
-            assert np.array_equal(np.concatenate(blocks), mesh.nodes[1 : fracops._SOE_START])
-            for tn in blocks:
-                first = int(np.flatnonzero(mesh.nodes == tn[0])[0])
+        assert len(runs[0]) == 10
+        for run in runs:
+            direct = [tn for tn, _ in run[:10]]
+            assert np.array_equal(np.concatenate(direct), nodes[1:start])
+            for tn in direct:
+                first = int(np.flatnonzero(nodes == tn[0])[0])
                 assert tn.size * (first + tn.size - 2) <= fracops._BLOCK_CELLS
+        for run in runs[1:]:
+            far = run[10:]
+            assert len(far) == -(-(nodes.size - start) // block) == 57
+            assert np.array_equal(np.concatenate([tn for tn, _ in far]), nodes[start:])
+            for i, (tn, t) in enumerate(far):
+                lo = start + i * block
+                assert np.array_equal(tn, nodes[lo : lo + block])
+                assert np.array_equal(t, nodes[lo - 1 : lo + tn.size])
         calls.clear()
         self._direct(monkeypatch, prob, mesh)
         assert len(calls) == 557
-        assert np.array_equal(np.concatenate(calls), mesh.nodes[1:])
+        assert np.array_equal(np.concatenate([tn for tn, _ in calls]), nodes[1:])
 
     def test_second_order_on_the_fast_path(self):
         # measured 7.7e-9 -> 1.9e-9, order 2.00
