@@ -452,7 +452,7 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     inv_g = 1.0 / gamma_fn(gamma)
     out = np.zeros(t.size)
     for lo, hi, b, d0, P, tip, far in _known_blocks(gamma, t, h, v[:-1], v[1:]):
-        c = hi - 2  # the cells behind the last row's tip end at node c + 1
+        c = hi - 2  # cells behind the last row's tip
         x = t[lo:hi, None] - t[b:c]
         _, cells = _corrector_cells(gamma, x, d0, P, v[b:c], s[b:c], df[b:c])
         hist, w = _corrector_tip(gamma, inv_g, cells + far, tip, v[lo - 1 : hi - 1])
