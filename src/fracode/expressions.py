@@ -337,13 +337,34 @@ def evaluate(e: Expr, t: float, u: float) -> float:
     raise TypeError(f"not a node of the expression grammar: {e!r}")
 
 
+def _literal(e: Expr) -> float | None:
+    """The value of a literal under any number of unary minus signs, else None."""
+    negate = False
+    while isinstance(e, Unary) and e.op == "-":
+        negate = not negate
+        e = e.arg
+    if isinstance(e, Num) and math.isfinite(e.value):
+        return -e.value if negate else e.value
+    return None
+
+
 class _Emitter:
     """Straight-line Python source for one tree, one statement per node.
 
-    Values live in locals v0, v1, ... assigned in the post-order that
-    `evaluate` recurses in; literals, offsets and messages are bound
-    names k0, k1, ..., so no text from the tree reaches the source and
-    no expression in it nests.
+    Values live in locals v0, v1, ... assigned by `evaluate`'s operations
+    in the post-order it recurses in; literals, folded with the minus
+    signs above them, are bound names k0, k1, ..., so no text from the
+    tree reaches the source and no expression in it nests.
+
+    Where `evaluate` tests every node, these statements test few.  A
+    non-finite value stays non-finite through +, -, * and negation,
+    through a numerator, a base under a positive literal exponent, sin,
+    cos, log and abs (or they raise).  Only a divisor, the other operands
+    of a power, the arguments of min, max and exp, and the root can lose
+    it, so only those are tested, unless they are literals; a failed
+    test raises _NonFinite.  Statements that run to the end therefore
+    met finite values only, on which every check of `evaluate` passes,
+    and hold its value.
     """
 
     def __init__(self):
@@ -356,19 +377,22 @@ class _Emitter:
         self.bound[name] = obj
         return name
 
-    def assign(self, rhs: str, indent: str = "") -> str:
+    def assign(self, rhs: str) -> str:
         name = f"v{self.n_locals}"
         self.n_locals += 1
-        self.lines.append(f"{indent}{name} = {rhs}")
+        self.lines.append(f"{name} = {rhs}")
         return name
 
-    def fail(self, message: str, offset: int, indent: str, suffix: str = "") -> None:
-        self.lines.append(f"{indent}raise _E(*{self.bind((message, offset))}){suffix}")
+    def guard(self, name: str) -> None:
+        if name not in self.bound:
+            self.lines.append(f"if not _isfinite({name}):")
+            self.lines.append("    raise _NonFinite")
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing `e`; return the name holding it."""
-        if isinstance(e, Num) and math.isfinite(e.value):
-            return self.bind(e.value)
+        value = _literal(e)
+        if value is not None:
+            return self.bind(value)
         if isinstance(e, Var) and e.name in _VARIABLES:
             return "t" if e.name == "t" else "u"
         if isinstance(e, Unary) and e.op == "-":
@@ -376,34 +400,35 @@ class _Emitter:
         if isinstance(e, Binary) and e.op in _LBP:
             a = self.emit(e.left)
             b = self.emit(e.right)
+            if e.op == "^":
+                return self.power(a, b, e.right)
             if e.op == "/":
-                self.lines.append(f"if {b} == 0.0:")
-                self.fail("division by zero", e.offset, "    ")
-            if e.op in ("+", "-", "*", "/"):
-                r = self.assign(f"{a} {e.op} {b}")
-            else:
-                r = self.assign(f"_pow({a}, {b}, {self.bind(e.offset)})")
-            self.check_finite(r, f"non-finite result from '{e.op}'", e.offset)
-            return r
+                self.guard(b)
+            return self.assign(f"{a} {e.op} {b}")
         if isinstance(e, Call) and len(e.args) == _FUNCTIONS.get(e.fn):
             args = [self.emit(a) for a in e.args]
-            self.lines.append("try:")
-            if e.fn == "log":
-                self.lines.append(f"    if {args[0]} <= 0.0:")
-                self.fail("log of a nonpositive value", e.offset, "        ")
             if e.fn == "pow":
-                r = self.assign(f"_pow({args[0]}, {args[1]}, {self.bind(e.offset)})", "    ")
-            else:
-                r = self.assign(f"_{e.fn}({', '.join(args)})", "    ")
-            self.lines.append("except _OverflowError:")
-            self.fail(f"overflow in {e.fn}", e.offset, "    ", " from None")
-            self.check_finite(r, f"non-finite result from {e.fn}", e.offset)
-            return r
+                return self.power(*args, e.args[1])
+            if e.fn in ("min", "max", "exp"):
+                for a in args:
+                    self.guard(a)
+            if e.fn in ("min", "max"):
+                # the comparison the builtin makes, without the call
+                a, b = args
+                return self.assign(f"{b} if {b} {'<' if e.fn == 'min' else '>'} {a} else {a}")
+            return self.assign(f"_{e.fn}({args[0]})")
         raise TypeError(f"not a node of the expression grammar: {e!r}")
 
-    def check_finite(self, name: str, message: str, offset: int) -> None:
-        self.lines.append(f"if not _isfinite({name}):")
-        self.fail(message, offset, "    ")
+    def power(self, a: str, b: str, exponent: Expr) -> str:
+        lit = _literal(exponent)
+        if lit is None or not lit > 0.0:
+            self.guard(a)  # inf^0, nan^0 and inf^-1 are finite
+        self.guard(b)
+        return self.assign(f"_mpow({a}, {b})")
+
+
+class _NonFinite(ArithmeticError):
+    """A compiled rhs met inf or nan where the next operation could hide it."""
 
 
 # CPython interns the identifiers of every compiled function and drops
@@ -413,39 +438,50 @@ class _Emitter:
 _PINNED_NAMES = tuple(sys.intern(f"{kind}{i}") for kind in "kv" for i in range(128))
 
 _COMPILED_HELPERS = {
-    "_E": EvalError,
-    "_OverflowError": OverflowError,
-    "_pow": _pow,
+    "_NonFinite": _NonFinite,
+    "_Fallible": (ArithmeticError, ValueError),
+    "_evaluate": evaluate,
+    "_mpow": math.pow,
     "_isfinite": math.isfinite,
     "_sin": math.sin,
     "_cos": math.cos,
     "_exp": math.exp,
     "_log": math.log,
     "_abs": abs,
-    "_min": min,
-    "_max": max,
 }
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
     """Compile a tree into a straight-line function f(t, u).
 
-    The function runs the same operations as `evaluate(e, t, u)` in the
-    same order and raises the same EvalError messages and offsets, so
-    its results agree bit for bit; it only skips the per-node dispatch.
-    A tree `evaluate` rejects with TypeError is rejected here, at
-    compile time.  Compile once per tree and call many times; `evaluate`
-    stays the reference.
+    The function returns what `evaluate(e, t, u)` returns and raises
+    what it raises, bit for bit, sign of zero and EvalError message and
+    offset included.  It runs `evaluate`'s operations in the same order
+    without the per-node dispatch, with negated literals folded, powers
+    taken by `math.pow` and min and max as one comparison, and tests
+    finiteness only where an inf or nan could turn finite again (a
+    divisor, the other operands of a power, the arguments of min, max
+    and exp, and the root).  If a test fails or an operation raises (a
+    zero divisor, a log of a nonpositive value, an overflow, a domain
+    error), it returns `evaluate(e, t, u)` instead.  A tree `evaluate`
+    rejects with TypeError is rejected here, at compile time.  Compile
+    once per tree and call many times; `evaluate` stays the reference.
     """
     em = _Emitter()
     result = em.emit(e)
+    em.guard(result)
+    tree = em.bind(e)
     params = ", ".join([*_COMPILED_HELPERS, *em.bound])
-    body = "\n".join(f"        {line}" for line in em.lines)
+    body = "\n".join(f"            {line}" for line in em.lines)
     src = (
         f"def _make({params}):\n"
         f"    def rhs(t, u):\n"
+        f"        try:\n"
         f"{body}\n"
-        f"        return {result}\n"
+        f"            return {result}\n"
+        f"        except _Fallible:\n"
+        f"            pass\n"
+        f"        return _evaluate({tree}, t, u)\n"
         f"    return rhs\n"
     )
     ns: dict = {}

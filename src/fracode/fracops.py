@@ -232,12 +232,18 @@ def _corrector_tip(gamma: float, inv_g: float, cells, tip, f_tip):
 
 # A march over a known mesh of at least _SOE_MIN_NODES nodes serves node
 # _SOE_START on from exponential modes; shorter meshes, and the start,
-# stay direct.  On a 2-vCPU x86_64 machine the modes break even at
-# 1,000-1,500 nodes; at 2,048 they save about 35 % of `solve`, and
-# about 50 % of `frac_integral` and 45 % of `caputo_l1`, which take the
-# far rows a block at a time (24 % and 12 % node by node).  Below 2,048
-# (the corpus's n = 256, `verify resolvent --n 1024`) every march keeps
-# the direct path's bits
+# stay direct.  On a 2-vCPU x86_64 machine the modes mostly pay below
+# 2,048 nodes already.  With this threshold set to 1,024 (gamma 0.5,
+# default grading, min of 25 runs), `frac_integral` took 5.2 ms instead
+# of 5.5 at 1,024 nodes and 7.5 instead of 12.8 at 1,536; `solve` of
+# D^0.5 u = -u 12.2 instead of 13.4 and 18.1 instead of 24.9; but
+# `caputo_l1` 4.9 instead of 4.4 at 1,024, and 8.1 instead of 9.7 at
+# 1,536.  At 2,048 they save about 35 % of `solve`,
+# and about 50 % of `frac_integral` and 45 % of `caputo_l1`, which take
+# the far rows a block at a time.  The threshold stays at 2,048 so that
+# every march below it (the corpus's n = 256, `verify resolvent --n
+# 1024`) keeps the direct path's bits: at 1,024, `verify resolvent
+# --n 1024`'s residual moves in its fifth digit (ROADMAP)
 _SOE_MIN_NODES = 2048
 _SOE_START = 512
 _SOE_BLOCK = 64  # mesh rows formed at once

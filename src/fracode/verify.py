@@ -314,6 +314,9 @@ def check_resolvent(lam: float, gamma: float, T: float = 1.0, n: int = 4096) -> 
     """Residual of the resolvent equation and the survival identity."""
     if not lam > 0.0:
         raise ValueError(f"resolvent check needs lam > 0, got {lam!r}")
+    # the residual is read on t >= 10 T/n, which holds a node from n = 10
+    if not n >= 10:
+        raise ValueError(f"resolvent check needs n >= 10, got {n!r}")
     # grading 2/gamma overshoots here: for small gamma the first node
     # lands at T n^{-2/gamma} where r ~ t^{gamma-1} is astronomically
     # large, and the antiderivative differences inside the quadrature

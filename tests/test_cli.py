@@ -427,6 +427,13 @@ class TestVerifyCommand:
         assert rc == 1
         assert json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("n", ["-1", "0", "1", "9"])
+    def test_resolvent_below_ten_nodes_is_usage_error(self, cli, n):
+        rc, out, err = cli("verify", "resolvent", "--n", n)
+        assert rc == 2
+        assert out == ""
+        assert "n >= 10" in err
+
     def test_comparison_corpus(self, cli):
         rc, out, _ = cli("verify", "comparison", "--trials", "6", "--n", "64")
         assert rc == 0

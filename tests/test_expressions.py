@@ -5,7 +5,8 @@ power-law matcher, and a 1000-tree randomized comparison against an
 independent route: each tree is translated to fully parenthesized
 Python source and evaluated by the Python interpreter itself.  The
 compiled form of every tree must match the tree walker `evaluate`
-exactly, values and errors alike.
+exactly, values and errors alike, whether it returns its own value or
+falls back to `evaluate`.
 """
 
 import math
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from fracode import expressions
 from fracode.expressions import (
     Binary,
     Call,
@@ -235,13 +237,15 @@ def _pysrc(e) -> str:
 def _outcome(fn, t, u):
     try:
         return ("value", fn(t, u))
-    except EvalError as exc:
-        return ("error", str(exc), exc.offset)
+    except (ArithmeticError, ValueError) as exc:
+        # EvalError, or what evaluate lets through: math.sin(inf)'s
+        # ValueError, math.floor(inf)'s OverflowError under '^'
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "offset", None))
 
 
 def _assert_compiled_matches(tree, t, u) -> str:
-    # bit for bit on success (sign of zero included), the same message
-    # and offset on failure; returns which of the two it was
+    # bit for bit on success (sign of zero included), the same type,
+    # message and offset on failure; returns which of the two it was
     want = _outcome(lambda t, u: evaluate(tree, t, u), t, u)
     got = _outcome(compile_expr(tree), t, u)
     assert got == want
@@ -250,8 +254,21 @@ def _assert_compiled_matches(tree, t, u) -> str:
     return want[0]
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    # records each point a compiled rhs hands to `evaluate`
+    calls = []
+
+    def spy(e, t, u):
+        calls.append((t, u))
+        return evaluate(e, t, u)
+
+    monkeypatch.setitem(expressions._COMPILED_HELPERS, "_evaluate", spy)
+    return calls
+
+
 class TestAgainstPythonInterpreter:
-    def test_thousand_random_trees(self):
+    def test_thousand_random_trees(self, fallbacks):
         rng = random.Random(20240917)
         # a separate stream, so the trees drawn stay those of rng alone
         wide = random.Random(20240918)
@@ -265,7 +282,10 @@ class TestAgainstPythonInterpreter:
             t = rng.uniform(0.2, 2.5)
             u = rng.uniform(0.2, 2.5)
             u_wide = wide.uniform(-3.0, 3.0)
-            for uu in (u, u_wide):
+            # |u| up to 1e300 overflows inside trees, so many points
+            # fall back to evaluate
+            u_huge = wide.choice((-1.0, 1.0)) * 10.0 ** wide.uniform(0.0, 300.0)
+            for uu in (u, u_wide, u_huge):
                 outcomes.add(_assert_compiled_matches(tree, t, uu))
             try:
                 mine = evaluate(tree, t, u)
@@ -289,6 +309,8 @@ class TestAgainstPythonInterpreter:
                 pass
         assert checked > 400
         assert outcomes == {"value", "error"}
+        # 184 of the 3000 points fall back (measured)
+        assert len(fallbacks) > 150
 
     @pytest.mark.parametrize(
         "src",
@@ -302,9 +324,10 @@ class TestAgainstPythonInterpreter:
         ids=["minus-400", "parens-300", "sin-150", "sum-300", "power-300"],
     )
     def test_deep_trees(self, src):
-        # deeper than the 200 nested parentheses Python's parser accepts
+        # deeper than the 200 nested parentheses Python's parser accepts;
+        # u = inf and 1e308 fall back to evaluate
         tree = parse(src)
-        for u in (-0.0, 0.0, 0.5, -2.0):
+        for u in (-0.0, 0.0, 0.5, -2.0, 1e308, math.inf):
             _assert_compiled_matches(tree, 0.25, u)
 
     @pytest.mark.parametrize(
@@ -325,6 +348,47 @@ class TestAgainstPythonInterpreter:
     )
     def test_compiled_edge_cases(self, src, u):
         _assert_compiled_matches(parse(src), 0.5, u)
+
+    @pytest.mark.parametrize(
+        "src, u, outcome",
+        [
+            # an inf that the next operation would hide
+            ("min(u*1e300, 1)", 1e10, "error"),
+            ("max(u*1e300, 1)", -1e10, "error"),
+            ("min(1, u*1e300)", -1.0, "value"),
+            ("t / (u*1e300)", 1e10, "error"),
+            ("t / (u*1e300)", -1e-300, "value"),
+            ("exp(-u*1e300)", 1e10, "error"),
+            ("exp(-u*1e300)", -0.0, "value"),
+            ("pow(0.5, u*1e300)", 1e10, "error"),
+            ("0.5^(u*1e300)", 1e10, "error"),
+            ("(u*1e300)^0", 1e10, "error"),
+            ("(u*1e300)^-1", 1e10, "error"),
+            ("(u*1e300)^2 - 1", 1e10, "error"),
+            # a zero divisor, a log of a nonpositive value
+            ("t / (u - 1)", 1.0, "error"),
+            ("t / u", -0.0, "error"),
+            ("-t / (u - 2)", 3.0, "value"),
+            ("log(u - 1)", 1.0, "error"),
+            ("log(u - 1)", 0.5, "error"),
+            ("log(-u)", -0.0, "error"),
+            # a negative base under a fractional literal exponent
+            ("(u - 3)^0.5", 1.0, "error"),
+            ("pow(u - 3, 0.5)", 1.0, "error"),
+            # OverflowError in an integer-literal power and in exp
+            ("u^3", 1e200, "error"),
+            ("pow(u, 3)", 1e200, "error"),
+            ("exp(u) - 1", 710.0, "error"),
+            # the root may carry an input inf, which evaluate returns
+            ("u", math.inf, "value"),
+            ("--u", -math.inf, "value"),
+            ("-0*u", 2.0, "value"),
+        ],
+    )
+    def test_fallback_matches_evaluate(self, src, u, outcome, fallbacks):
+        assert _assert_compiled_matches(parse(src), 0.25, u) == outcome
+        # only a failure, or an inf the root carries, falls back
+        assert len(fallbacks) == (outcome == "error" or math.isinf(u))
 
     def test_compiled_trees_outside_the_grammar(self):
         # shapes only a caller building nodes by hand can make: the tree

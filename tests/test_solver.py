@@ -125,6 +125,12 @@ class TestFracProblem:
         assert twin == prob
         assert hash(twin) == hash(prob)
         assert twin.f(0.25, 2.0) == prob.f(0.25, 2.0)
+        if not prob.is_power_law:
+            # u^3 overflows, so the point falls back to evaluate
+            for fn in (twin.f, prob.f):
+                with pytest.raises(EvalError) as exc:
+                    fn(0.25, 1e200)
+                assert str(exc.value) == str(_eval_error(prob.rhs, 0.25, 1e200))
         # another start shares the compiled rhs instead of compiling
         moved = twin._with_u0(2.0)
         assert moved == dataclasses.replace(twin, u0=2.0) != prob
@@ -144,7 +150,37 @@ class TestFracProblem:
             FracProblem.power_law(0.5, 1.0, 0.5, 1.0, 1.0)._with_u0(0.0)
 
 
+def _eval_error(e, t, u) -> EvalError:
+    with pytest.raises(EvalError) as exc:
+        evaluate(e, t, u)
+    return exc.value
+
+
 class TestSolveExact:
+    def test_untagged_rhs_is_evaluated_only_through_f(self, monkeypatch):
+        # FracProblem.f is the one call path to the compiled rhs, which
+        # perfbench times as solver.rhs: one evaluation for the start and
+        # then corrector_iterations of them
+        prob = FracProblem.from_rhs(0.5, "sin(t) - u^3", 1.0, 1.0)
+        assert not prob.is_power_law
+        calls = {"f": 0, "compiled": 0}
+        compiled = prob._rhs_fn
+
+        def counted(t, u):
+            calls["compiled"] += 1
+            return compiled(t, u)
+
+        def spy(self, t, u):
+            calls["f"] += 1
+            return real_f(self, t, u)
+
+        real_f = FracProblem.f
+        object.__setattr__(prob, "_rhs_fn", counted)
+        monkeypatch.setattr(FracProblem, "f", spy)
+        path = solve(prob, Mesh.uniform(1.0, 64))
+        assert path.status is PathStatus.COMPLETED
+        assert calls["f"] == calls["compiled"] == path.corrector_iterations + 1
+
     def test_zero_rhs_is_constant_bitwise(self):
         prob = FracProblem.from_rhs(0.5, "0", 3.0, 1.0)
         path = solve(prob, Mesh.uniform(1.0, 64))

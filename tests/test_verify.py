@@ -322,6 +322,17 @@ class TestCheckResolvent:
         with pytest.raises(ValueError, match="lam > 0"):
             check_resolvent(0.0, 0.5)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1, 9])
+    def test_rejects_too_few_nodes(self, n):
+        # below 10 nodes the window t >= 10 T/n that the residual is
+        # read on is empty, and n = 1 zeroes log(n) in the grading cap
+        with pytest.raises(ValueError, match="n >= 10"):
+            check_resolvent(1.0, 0.5, 1.0, n)
+
+    def test_ten_nodes_still_run(self):
+        rep = check_resolvent(1.0, 0.5, 1.0, 10)
+        assert math.isfinite(rep.max_residual)
+
     @pytest.mark.parametrize("gamma", [0.2, 0.3])
     def test_far_modes_need_no_grading_cap(self, gamma):
         # the full grading 2/gamma puts thin far cells under the kernel;
