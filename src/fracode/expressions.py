@@ -262,7 +262,8 @@ def parse(src: str) -> Expr:
 def _pow(a: float, b: float, offset: int) -> float:
     if a == 0.0 and b < 0.0:
         raise EvalError("division by zero in power", offset)
-    if a < 0.0 and b != math.floor(b):
+    # an infinite or nan exponent is no integer (math.floor raises on it)
+    if a < 0.0 and not (math.isfinite(b) and b == math.floor(b)):
         raise EvalError("negative base with non-integer exponent", offset)
     try:
         return math.pow(a, b)
@@ -311,10 +312,12 @@ def evaluate(e: Expr, t: float, u: float) -> float:
     elif isinstance(e, Call) and len(e.args) == _FUNCTIONS.get(e.fn):
         vals = [evaluate(a, t, u) for a in e.args]
         try:
+            # sin and cos raise ValueError at an infinity; the nan they
+            # get instead fails the finiteness test below
             if e.fn == "sin":
-                r = math.sin(vals[0])
+                r = math.sin(vals[0]) if math.isfinite(vals[0]) else math.nan
             elif e.fn == "cos":
-                r = math.cos(vals[0])
+                r = math.cos(vals[0]) if math.isfinite(vals[0]) else math.nan
             elif e.fn == "exp":
                 r = math.exp(vals[0])
             elif e.fn == "log":

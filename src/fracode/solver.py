@@ -24,14 +24,14 @@ order, so a rerun is bitwise identical; the paths agree with each other
 to rounding, not bit for bit.
 
 On top of plain `solve` sit two adaptive marches tied to the power-law
-right-hand side A*u^p: `detect_blowup` (A>0, p>1) chases the solution
-into its singularity with growth-limited geometrically shrinking steps
-and fits the blow-up time and strength; `detect_extinction` (A<0, p<0)
-follows the decay, each step sized from the relative change of u over
-the last one, until the corrector equation loses its positive root,
-which is the discrete signature of the solution touching 0.  In all
-three marches `SolutionPath.corrector_iterations` counts the rhs
-evaluations of `_corrector`, the accepted one included.
+right-hand side A*u^p, each step sized from the relative change of u
+over the last one (the rule above `_ETA`): `detect_blowup` (A>0, p>1)
+chases the solution into its singularity, its steps shrinking as u
+grows, and fits the blow-up time and strength; `detect_extinction`
+(A<0, p<0) follows the decay until the corrector equation loses its
+positive root, which is the discrete signature of the solution
+touching 0.  In all three marches `SolutionPath.corrector_iterations`
+counts the rhs evaluations of `_corrector`, the accepted one included.
 """
 
 from __future__ import annotations
@@ -505,14 +505,38 @@ def _require_power(prob: FracProblem, what: str):
         raise ValueError(f"{what} needs a power-law right-hand side")
 
 
-# relative change of u per step that the extinction march aims at
-_EXTINCTION_ETA = 0.01
+# relative change of u per step that both marches aim at (blow-up at
+# its default level).  Both size a step the same way: the growth step
+# from rest for the first two, then the last step rescaled so that u
+# changes by about eta u_n, h = eta u_n h_prev / |u_n - u_{n-1}|,
+# capped at twice the last step.  Each march spells the rule out: as a
+# shared function its call cost the extinction march 3 % of its time
+_ETA = 0.01
 
 
 def _growth_step(gamma: float, absA: float, p: float, u: float, eta: float) -> float:
     # step making the kernel-weighted increment about eta*u:
     # h^gamma |A| u^p / Gamma(1+gamma) = eta u
     return (eta * gamma_fn(1.0 + gamma) * u ** (1.0 - p) / absA) ** (1.0 / gamma)
+
+
+def _blowup_fit(hist: _History, gamma: float, p: float) -> tuple[float, float, np.ndarray]:
+    # (Tb, C, fitted times) from the regression of w = u^{-(p-1)/gamma}
+    # on t over the last decades of a blow-up march
+    t = np.array(hist.t)
+    u = np.array(hist.u)
+    # one decade of tb - t spans gamma/(p-1) decades of u, so widen the
+    # window when the singularity is shallow or the tail is underfilled
+    decades = max(1.0, 1.05 * gamma / (p - 1.0))
+    sel = u >= u[-1] / 10.0**decades
+    if np.count_nonzero(sel) < 10:
+        sel = u >= u[-1] / 10.0 ** (decades + 1.0)
+    ts, us = t[sel], u[sel]
+    w = us ** (-(p - 1.0) / gamma)
+    slope, intercept = np.polyfit(ts, w, 1)
+    tb = -intercept / slope
+    c_fit = (-slope) ** (-gamma / (p - 1.0))
+    return tb, c_fit, ts
 
 
 def detect_blowup(
@@ -522,18 +546,24 @@ def detect_blowup(
 ) -> BlowupReport:
     """Chase a superlinear power-law trajectory into its singularity.
 
-    Adaptive march with steps sized to a fixed relative growth per
-    step, which shrinks them geometrically as the singularity nears;
-    stops at u >= u_max or at the floating-point time-resolution floor
-    (by then the remaining distance to the singularity is below 1 ulp,
-    so the floor stop is itself blow-up evidence).  The blow-up time
-    and strength come from linear regression on w = u^{-(p-1)/gamma},
-    which the asymptotic law makes an affine function of t; the
-    exponent is then re-fitted freely as an independent check.
-    refine_levels = L >= 1 sets the step tolerance of the reported
-    march, eta = 0.2 * 2^-L; the march is repeated once at twice that
-    eta, and the relative move of the blow-up time between the two is
-    `refinement_drift`.
+    Adaptive march with steps sized to a relative change of eta in u
+    per step, which shrinks them as the singularity nears: after two
+    growth steps from rest, h = eta u_n h_prev / |u_n - u_{n-1}|,
+    capped at twice the last step (the rule above `_ETA`, as in
+    `detect_extinction`).  The march stops at u >= u_max or at the
+    floating-point time-resolution floor (by then the remaining
+    distance to the singularity is below 1 ulp, so the floor stop is
+    itself blow-up evidence).  The blow-up time and strength come from
+    linear regression on w = u^{-(p-1)/gamma}, which the asymptotic law
+    makes an affine function of t; the exponent is then re-fitted
+    freely as an independent check.  refine_levels = L >= 1 sets the
+    step tolerance of the reported march, eta = 0.04 * 2^-L (0.01 at
+    the default L = 2); the march is repeated once at twice that eta.
+    The relative move of the blow-up time between the two is
+    `refinement_drift`.  The fitted constant is off by O(eta^2), so
+    `constant_fit` is the Richardson value c_f + (c_f - c_c)/3 of the
+    fine and coarse fits; `Tb_estimate` and the exponent are the fine
+    march's own.
 
     Raises NonBlowupError if u stays below u_max out to 100*T, and
     ValueError for p < 1.01 where the asymptotic constants degenerate
@@ -565,9 +595,9 @@ def detect_blowup(
         hist = _History(gamma, prob.u0, prob.f(0.0, prob.u0))
         iters = 0
         h_prev = math.inf
-        # Small gamma with steep p drives the growth-limited step below the
-        # resolution of the time axis well before u_max; by then u has grown
-        # by several decades, which is all the w-regression needs.
+        # Small gamma with steep p drives Tb - t below the resolution of
+        # the time axis well before u_max; by then u has grown by several
+        # decades, which is all the w-regression needs.
         accept_bar = 1e2 * max(1.0, prob.u0)
         while hist.u[-1] < u_max:
             t_n, u_n = hist.t[-1], hist.u[-1]
@@ -575,7 +605,12 @@ def detect_blowup(
                 raise NonBlowupError(
                     f"u stayed below u_max={u_max:g} out to t={horizon:g}"
                 )
-            h = min(_growth_step(gamma, A, p, u_n, eta), 2.0 * h_prev)
+            if hist.n <= 2:
+                h = _growth_step(gamma, A, p, u_n, eta)
+            else:
+                # rescale the last step to a change of eta * u_n
+                h = eta * u_n * h_prev / abs(u_n - hist.u[-2])
+            h = min(h, 2.0 * h_prev)
             floor = 32.0 * math.ulp(t_n) if t_n > 0 else 0.0
             while h > floor:
                 t_next = t_n + h
@@ -596,27 +631,13 @@ def detect_blowup(
             h_prev = h
         return hist, iters
 
-    def estimate(hist) -> tuple[float, float, np.ndarray]:
-        t = np.array(hist.t)
-        u = np.array(hist.u)
-        # one decade of tb - t spans gamma/(p-1) decades of u, so widen the
-        # window when the singularity is shallow or the tail is underfilled
-        decades = max(1.0, 1.05 * gamma / (p - 1.0))
-        sel = u >= u[-1] / 10.0**decades
-        if np.count_nonzero(sel) < 10:
-            sel = u >= u[-1] / 10.0 ** (decades + 1.0)
-        ts, us = t[sel], u[sel]
-        w = us ** (-(p - 1.0) / gamma)
-        slope, intercept = np.polyfit(ts, w, 1)
-        tb = -intercept / slope
-        c_fit = (-slope) ** (-gamma / (p - 1.0))
-        return tb, c_fit, ts
-
-    eta = 0.2 * 0.5**refine_levels
-    tb_coarse = estimate(march(2.0 * eta)[0])[0]
+    eta = _ETA * 2.0 ** (2 - refine_levels)
+    tb_coarse, c_coarse, _ = _blowup_fit(march(2.0 * eta)[0], gamma, p)
     hist, iters = march(eta)
-    tb, c_fit, t_sel = estimate(hist)
+    tb, c_fit, t_sel = _blowup_fit(hist, gamma, p)
     drift = abs(tb - tb_coarse) / abs(tb)
+    # the constant's error is O(eta^2): Richardson from the two levels
+    c_fit += (c_fit - c_coarse) / 3.0
 
     path = hist.path(PathStatus.BLOWUP_SUSPECTED, iters)
     free = fit_power(path, (t_sel[0], t_sel[-1]), t_b=tb)
@@ -641,15 +662,15 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
     closed-form upper bound for the touch time obtained by freezing the
     right-hand side at its initial (least negative) value.
 
-    Steps follow what the path does.  The first two are the growth step
-    for a relative change of `_EXTINCTION_ETA` (0.01) from rest; after
-    that each step rescales the last one so that u changes by about
-    eta u_n, h = eta u_n h_prev / |u_n - u_{n-1}|, capped at twice the
-    last step and at 0.05 times the bound.  The corrector starts
-    from f extrapolated linearly along the last cell.  The march ends
-    when u falls to eps_touch (default 1e-6 u0), at the touch, or, once
-    steps reach the resolution of the time axis, at the floor or drain
-    exits.
+    Steps follow what the path does, by the rule of `detect_blowup`.
+    The first two are the growth step for a relative change of `_ETA`
+    (0.01) from rest; after that each step rescales the last one so that
+    u changes by about eta u_n, h = eta u_n h_prev / |u_n - u_{n-1}|,
+    capped at twice the last step and at 0.05 times the bound.  The
+    corrector starts from f extrapolated linearly along the last cell.
+    The march ends when u falls to eps_touch (default 1e-6 u0), at the
+    touch, or, once steps reach the resolution of the time axis, at the
+    floor or drain exits.
     """
     _require_power(prob, "detect_extinction")
     A, p, gamma, u0 = prob.A, prob.p, prob.gamma, prob.u0
@@ -669,10 +690,10 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
     while touch is None:
         t_n, u_n = hist.t[-1], hist.u[-1]
         if hist.n <= 2:
-            h = _growth_step(gamma, absA, p, u_n, _EXTINCTION_ETA)
+            h = _growth_step(gamma, absA, p, u_n, _ETA)
         else:
-            # rescale the last step to a change of _EXTINCTION_ETA * u_n
-            h = _EXTINCTION_ETA * u_n * h_prev / abs(u_n - hist.u[-2])
+            # rescale the last step to a change of _ETA * u_n
+            h = _ETA * u_n * h_prev / abs(u_n - hist.u[-2])
         h = min(h, 2.0 * h_prev, 0.05 * bound)
         floor = 32.0 * math.ulp(t_n) if t_n > 0 else 0.0
         if h <= floor or t_n > 4.0 * bound:

@@ -464,8 +464,12 @@ def corpus_reports(
     """Run `check(rhs, gamma, u10, u20, T=, n=)` on each corpus problem.
 
     Returns (problem, report) pairs in corpus order; a trial that raises
-    surfaces as RuntimeError("corpus trial k failed: ...").
+    surfaces as RuntimeError("corpus trial k failed: ...").  A bad
+    argument raises ValueError before the first trial (every corpus
+    problem has T = 1).
     """
+    if not n >= 1:
+        raise ValueError(f"corpus check needs n >= 1, got {n!r}")
     out = []
     for prob in corpus_problems(seed, trials):
         try:

@@ -434,6 +434,21 @@ class TestVerifyCommand:
         assert out == ""
         assert "n >= 10" in err
 
+    @pytest.mark.parametrize("mode", ["comparison", "stability"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_corpus_without_nodes_is_usage_error(self, cli, mode, n, monkeypatch):
+        # refused before the first trial runs, not reported as a
+        # numerical failure of trial 0
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a corpus trial ran")
+
+        monkeypatch.setattr(fracode.cli, "check_comparison", no_trial)
+        monkeypatch.setattr(fracode.cli, "stability_experiment", no_trial)
+        rc, out, err = cli("verify", mode, "--trials", "2", "--n", n)
+        assert rc == 2
+        assert out == ""
+        assert "n >= 1" in err
+
     def test_comparison_corpus(self, cli):
         rc, out, _ = cli("verify", "comparison", "--trials", "6", "--n", "64")
         assert rc == 0

@@ -160,6 +160,25 @@ class TestEvaluate:
             evaluate(parse("1 + log(u)"), 0.0, -1.0)
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "src, t, u, offset, message",
+        [
+            # math.sin and math.cos raise ValueError at an infinity
+            ("sin(u)", 0.0, math.inf, 0, "non-finite result from sin"),
+            ("1 + cos(u)", 0.0, -math.inf, 4, "non-finite result from cos"),
+            # math.floor raises OverflowError at an infinite exponent
+            ("u^t", math.inf, -2.0, 1, "negative base"),
+            ("pow(u, t)", -math.inf, -0.5, 0, "negative base"),
+            ("u^t", math.nan, -2.0, 1, "negative base"),
+        ],
+    )
+    def test_infinite_inputs_raise_eval_error(self, src, t, u, offset, message):
+        tree = parse(src)
+        for f in (lambda t, u: evaluate(tree, t, u), compile_expr(tree)):
+            with pytest.raises(EvalError, match=message) as exc:
+                f(t, u)
+            assert exc.value.offset == offset
+
 
 _CORPUS = [
     "u^2",
@@ -237,10 +256,9 @@ def _pysrc(e) -> str:
 def _outcome(fn, t, u):
     try:
         return ("value", fn(t, u))
-    except (ArithmeticError, ValueError) as exc:
-        # EvalError, or what evaluate lets through: math.sin(inf)'s
-        # ValueError, math.floor(inf)'s OverflowError under '^'
-        return ("error", type(exc).__name__, str(exc), getattr(exc, "offset", None))
+    except EvalError as exc:
+        # every failure of a well-formed tree is an EvalError
+        return ("error", type(exc).__name__, str(exc), exc.offset)
 
 
 def _assert_compiled_matches(tree, t, u) -> str:
