@@ -1,11 +1,12 @@
 """Command-line front end: solve paths to CSV, checks to JSON reports.
 
-Subcommands and their defaults (this table is the single source; a
-`None` default means "resolved at run time" and the resolution rule is
-given in parentheses):
+Subcommands and their defaults (`_SCHEMAS` holds them; a `None`
+default means "resolved at run time" and the resolution rule is given
+in parentheses):
 
-  solve       gamma* rhs* u0*  T=1.0  mesh=graded  n=1024
-              grading=None (2/gamma)  t-start=None (T*1e-6)  out=None (stdout CSV)
+  solve       gamma* rhs* u0*  T=1.0  mesh=graded  n=1024  out=None (stdout CSV)
+              grading=None (2/gamma), with mesh=graded only
+              t-start=None (T*1e-6), with mesh=geometric only
   ml          alpha* z*  beta=1.0
   caputo      gamma* in*  u0=None (first sample)  out=None (stdout CSV)
   jint        gamma* in*  out=None (stdout CSV)
@@ -14,16 +15,18 @@ given in parentheses):
   asympt      gamma* u0*  rhs or A+p*  T=1.0  mesh=graded  n=1024
               grading/t-start as in solve  t-lo/t-hi=None (last decade)  out=None
   envelope    gamma* A* p* u0*  T=10.0  n=1024  out=None
-  verify      mode* (comparison|resolvent|stability)  trials=100
-              seed=None (FRACODE_SEED env, then the shipped corpus seed)
-              n=None (256 for corpus modes, 4096 for resolvent)
-              lam=1.0  gamma=0.5  T=1.0  out=None
+  verify      mode*, and the settings of that mode alone:
+              comparison|stability  trials=100  n=256  out=None
+                  seed=None (FRACODE_SEED env, then the shipped corpus seed)
+              resolvent  lam=1.0  gamma=0.5  T=1.0  n=4096  out=None
 
 (* = required.)  Every flag can instead be supplied through a JSON
 config file (`--config path`, keys named like the flags with
-underscores); explicit flags override config values, and every JSON
-report embeds the fully resolved config so a run can be reproduced
-bit for bit by feeding that object back as a config file.
+underscores); explicit flags override config values.  A flag or key
+that the run would not read (one of another verify mode, a mesh shape
+of another mesh kind) is a usage error.  Every JSON report embeds the
+fully resolved config, exactly the settings its run read, so a run can
+be reproduced bit for bit by feeding that object back as a config file.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
 config error, 3 numerical failure (a right-hand side that does not
@@ -75,8 +78,11 @@ EXIT_NUMERICAL = 3
 
 _REQUIRED = object()
 
+# the corpus modes of verify; seed None means FRACODE_SEED, then CORPUS_SEED
+_CORPUS = {"seed": (int, None), "trials": (int, 100), "n": (int, 256), "out": (str, None)}
+
 # key -> (coercion, default); _REQUIRED means the merge must find a value
-_SCHEMAS: dict[str, dict[str, tuple]] = {
+_SCHEMAS: dict[str, dict] = {
     "solve": {
         "gamma": (float, _REQUIRED),
         "rhs": (str, _REQUIRED),
@@ -145,19 +151,19 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "n": (int, 1024),
         "out": (str, None),
     },
+    # each mode reads its own settings
     "verify": {
-        "mode": (str, _REQUIRED),
-        "seed": (int, None),
-        "trials": (int, 100),
-        "n": (int, None),
-        "lam": (float, 1.0),
-        "gamma": (float, 0.5),
-        "T": (float, 1.0),
-        "out": (str, None),
+        "comparison": _CORPUS,
+        "resolvent": {
+            "lam": (float, 1.0),
+            "gamma": (float, 0.5),
+            "T": (float, 1.0),
+            "n": (int, 4096),
+            "out": (str, None),
+        },
+        "stability": _CORPUS,
     },
 }
-
-_VERIFY_MODES = ("comparison", "resolvent", "stability")
 
 
 class UsageError(Exception):
@@ -181,10 +187,10 @@ def _build_parser() -> _Parser:
     for name, schema in _SCHEMAS.items():
         sp = subs.add_parser(name, prog=f"fracode {name}")
         sp.add_argument("--config", type=str, default=None)
+        if name == "verify":  # a flag for every mode's settings
+            sp.add_argument("mode", nargs="?", metavar="{" + ",".join(schema) + "}")
+            schema = {key: spec for modal in schema.values() for key, spec in modal.items()}
         for key, (typ, _default) in schema.items():
-            if name == "verify" and key == "mode":
-                sp.add_argument("mode", nargs="?", choices=_VERIFY_MODES, default=None)
-                continue
             flag = "--" + key.replace("_", "-")
             sp.add_argument(flag, dest=key, type=typ, default=None)
     return top
@@ -213,19 +219,21 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _inject_subcommand(argv: list[str]) -> list[str]:
-    """Allow running straight from a config that names the subcommand."""
-    if argv and argv[0] in _SCHEMAS:
-        return argv
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            raise UsageError("--config needs a path")
-        sub = load_config(argv[i + 1]).get("subcommand")
-        if sub not in _SCHEMAS:
-            raise UsageError(f"config names no valid subcommand: {sub!r}")
-        return [sub] + argv
-    return argv
+def _inject_subcommand(argv: list[str]) -> tuple[list[str], dict | None]:
+    """Allow running straight from a config that names the subcommand.
+
+    Returns the argv to parse and the config read on the way, if any.
+    """
+    if (argv and argv[0] in _SCHEMAS) or "--config" not in argv:
+        return argv, None
+    i = len(argv) - 1 - argv[::-1].index("--config")  # the last wins, as in argparse
+    if i + 1 >= len(argv):
+        raise UsageError("--config needs a path")
+    config = load_config(argv[i + 1])
+    sub = config.get("subcommand")
+    if sub not in _SCHEMAS:
+        raise UsageError(f"config names no valid subcommand: {sub!r}")
+    return [sub] + argv, config
 
 
 def _effective_config(sub: str, config: dict, ns: argparse.Namespace) -> dict:
@@ -234,10 +242,19 @@ def _effective_config(sub: str, config: dict, ns: argparse.Namespace) -> dict:
         raise UsageError(
             f'config subcommand "{config["subcommand"]}" does not match "{sub}"'
         )
+    name = sub
+    if sub == "verify":
+        mode = ns.mode if ns.mode is not None else config.get("mode")
+        if mode not in list(schema):  # a list, not the dict: a config's mode may be unhashable
+            raise UsageError(f"verify mode must be one of {', '.join(schema)}, got {mode!r}")
+        name, schema = f"verify {mode}", {"mode": (str, _REQUIRED), **schema[mode]}
     allowed = set(schema) | {"subcommand"}
     for key in config:
         if key not in allowed:
-            raise UsageError(f'unknown config key "{key}" for {sub}')
+            raise UsageError(f'unknown config key "{key}" for {name}')
+    for key, val in vars(ns).items():
+        if val is not None and key not in allowed | {"config"}:
+            raise UsageError(f"--{key.replace('_', '-')} does not apply to {name}")
     eff = {"subcommand": sub}
     for key, (typ, default) in schema.items():
         val = getattr(ns, key, None)
@@ -322,21 +339,21 @@ def _emit_csv(eff: dict, t: np.ndarray, u: np.ndarray, extra: dict) -> None:
 
 def _build_mesh(eff: dict) -> Mesh:
     kind, T, n = eff["mesh"], eff["T"], eff["n"]
+    if kind not in ("uniform", "graded", "geometric"):
+        raise UsageError(f"--mesh must be uniform, graded or geometric, got {kind!r}")
+    # each shape setting belongs to one kind; the echo keeps only the one read
+    for owner, key in (("graded", "grading"), ("geometric", "t_start")):
+        if kind != owner and eff.pop(key) is not None:
+            raise UsageError(f"--{key.replace('_', '-')} goes only with --mesh {owner}")
     if kind == "uniform":
         return Mesh.uniform(T, n)
     if kind == "graded":
-        grading = eff["grading"]
-        if grading is None:
-            grading = default_grading(eff["gamma"])
-            eff["grading"] = grading  # materialize into the echo
-        return Mesh.graded(T, n, grading)
-    if kind == "geometric":
-        t_start = eff["t_start"]
-        if t_start is None:
-            t_start = T * 1e-6
-            eff["t_start"] = t_start
-        return Mesh.geometric(T, n, t_start)
-    raise UsageError(f"--mesh must be uniform, graded or geometric, got {kind!r}")
+        if eff["grading"] is None:
+            eff["grading"] = default_grading(eff["gamma"])  # materialize into the echo
+        return Mesh.graded(T, n, eff["grading"])
+    if eff["t_start"] is None:
+        eff["t_start"] = T * 1e-6
+    return Mesh.geometric(T, n, eff["t_start"])
 
 
 def _run_solve(eff: dict) -> int:
@@ -479,10 +496,6 @@ def _run_envelope(eff: dict) -> int:
 
 
 def _resolve_verify_defaults(eff: dict) -> None:
-    if eff["mode"] not in _VERIFY_MODES:
-        raise UsageError(
-            f"verify mode must be one of {', '.join(_VERIFY_MODES)}, got {eff['mode']!r}"
-        )
     if eff["seed"] is None:
         env = os.environ.get("FRACODE_SEED")
         if env is not None:
@@ -492,12 +505,9 @@ def _resolve_verify_defaults(eff: dict) -> None:
                 raise UsageError(f"FRACODE_SEED is not an integer: {env!r}")
         else:
             eff["seed"] = CORPUS_SEED
-    if eff["n"] is None:
-        eff["n"] = 4096 if eff["mode"] == "resolvent" else 256
 
 
 def _run_verify(eff: dict) -> int:
-    _resolve_verify_defaults(eff)
     mode = eff["mode"]
     if mode == "resolvent":
         chk = check_resolvent(eff["lam"], eff["gamma"], eff["T"], eff["n"])
@@ -525,6 +535,7 @@ def _run_verify(eff: dict) -> int:
         )
         return EXIT_OK if ok else EXIT_VERIFICATION
 
+    _resolve_verify_defaults(eff)
     # looked up per call, so a rebound module attribute takes effect
     check = check_comparison if mode == "comparison" else stability_experiment
     results = corpus_reports(check, eff["seed"], eff["trials"], eff["n"])
@@ -567,13 +578,14 @@ _DISPATCH = {
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_subcommand(argv)
+        argv, config = _inject_subcommand(argv)
         ns = _PARSER.parse_args(argv)
         if ns.subcommand is None:
             raise UsageError(
                 "a subcommand is required\n" + _PARSER.format_usage().rstrip()
             )
-        config = load_config(ns.config) if getattr(ns, "config", None) else {}
+        if config is None:
+            config = load_config(ns.config) if ns.config else {}
         eff = _effective_config(ns.subcommand, config, ns)
         return _DISPATCH[ns.subcommand](eff)
     except UsageError as exc:

@@ -536,38 +536,27 @@ def to_str(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _contains_u(e: Expr) -> bool:
+def _has_var(e: Expr, name: str | None = None) -> bool:
+    # does e mention the variable `name`, or any variable when None?
     if isinstance(e, Var):
-        return e.name == "u"
+        return name is None or e.name == name
     if isinstance(e, Unary):
-        return _contains_u(e.arg)
+        return _has_var(e.arg, name)
     if isinstance(e, Binary):
-        return _contains_u(e.left) or _contains_u(e.right)
+        return _has_var(e.left, name) or _has_var(e.right, name)
     if isinstance(e, Call):
-        return any(_contains_u(a) for a in e.args)
+        return any(_has_var(a, name) for a in e.args)
     return False
 
 
 def _const_value(e: Expr) -> float | None:
     # fold a variable-free subtree; None if it has variables or fails
-    if _has_vars(e):
+    if _has_var(e):
         return None
     try:
         return evaluate(e, 0.0, 0.0)
     except EvalError:
         return None
-
-
-def _has_vars(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Unary):
-        return _has_vars(e.arg)
-    if isinstance(e, Binary):
-        return _has_vars(e.left) or _has_vars(e.right)
-    if isinstance(e, Call):
-        return any(_has_vars(a) for a in e.args)
-    return False
 
 
 def match_power_law(e: Expr) -> tuple[float, float] | None:
@@ -599,7 +588,7 @@ def match_power_law(e: Expr) -> tuple[float, float] | None:
     a = sign[0]
     p: float | None = None
     for node, inverted in factors:
-        if _contains_u(node):
+        if _has_var(node, "u"):
             if p is not None:
                 return None
             if isinstance(node, Var) and node.name == "u":

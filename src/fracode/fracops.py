@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracode.specfun import gamma_fn
+from fracode.specfun import _gauss, _gauss_legendre, gamma_fn
 
 __all__ = [
     "Mesh",
@@ -250,21 +250,13 @@ _SOE_BLOCK = 64  # mesh rows formed at once
 _SOE_CUT = 45.0  # exp(-45) ~ 3e-20: modes with s delta >= 45 are dropped
 
 
-def _gauss(diag: np.ndarray, off: np.ndarray):
-    # Golub-Welsch: nodes of a Gauss rule from its Jacobi matrix, and the
-    # first eigenvector components squared (weights over the total mass)
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, vec[0] ** 2
-
-
 def _soe(gamma: float, delta: float, T: float):
     # (s, w) with tau^(gamma-1) = sum w exp(-s tau) to 1.6e-14 relative on
     # [delta, T] (measured for gamma in [0.2, 0.8]), from
     # Gamma(b) tau^-b = int_0^inf exp(-s tau) s^(b-1) ds, b = 1 - gamma:
     # 12-point Gauss-Jacobi for the weight s^(b-1) on [0, 8/T], then
     # 24-point Gauss-Legendre in log s on panels of ratio 64 up to
-    # 45/delta (Beylkin & Monzon, ACHA 28, 2010).  Both rules come from
-    # eigh; numpy.polynomial's leggauss would cost 0.75 MiB to import
+    # 45/delta (Beylkin & Monzon, ACHA 28, 2010).
     b = 1.0 - gamma
     c = b - 1.0  # Jacobi (0, c) on [-1, 1], mapped to [0, a]
     m = np.arange(1.0, 12.0)
@@ -273,14 +265,13 @@ def _soe(gamma: float, delta: float, T: float):
         np.concatenate(([c / (c + 2.0)], c * c / (k * (k + 2.0)))),
         2.0 * m * (m + c) / (k * np.sqrt((k + 1.0) * (k - 1.0))),
     )
-    m = np.arange(1.0, 24.0)
-    y, wy = _gauss(np.zeros(24), m / np.sqrt(4.0 * m * m - 1.0))
+    y, wy = _gauss_legendre(24)
     a = 8.0 / T
     width = math.log(64.0)
     panels = max(1, math.ceil(math.log(_SOE_CUT / (a * delta)) / width))
     logs = math.log(a) + width * (np.arange(panels)[:, None] + 0.5 * (1.0 + y))
     s = np.concatenate((0.5 * a * (1.0 + x), np.exp(logs).ravel()))
-    w = np.concatenate((a**b / b * v, (width * wy * np.exp(b * logs)).ravel()))
+    w = np.concatenate((a**b / b * v, (0.5 * width * wy * np.exp(b * logs)).ravel()))
     keep = s * delta < _SOE_CUT
     return s[keep], w[keep] / gamma_fn(b)
 

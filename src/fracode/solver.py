@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracode.expressions import EvalError, Expr, compile_expr, match_power_law, parse
+from fracode.expressions import EvalError, Expr, _pow, compile_expr, match_power_law, parse
 from fracode.fracops import (
     Mesh,
     SampledFn,
@@ -161,21 +161,8 @@ class FracProblem:
     def f(self, t: float, u: float) -> float:
         """Evaluate the right-hand side; raises EvalError off-domain."""
         if self.A is not None:
-            return self.A * _upow(u, self.p)
+            return self.A * (u if self.p == 1.0 else _pow(u, self.p, 0))
         return self._rhs_fn(t, u)
-
-
-def _upow(u: float, p: float) -> float:
-    if p == 1.0:
-        return u
-    if u == 0.0 and p < 0.0:
-        raise EvalError("division by zero in power law", 0)
-    if u < 0.0 and p != math.floor(p):
-        raise EvalError("negative state under non-integer power", 0)
-    try:
-        return math.pow(u, p)
-    except OverflowError:
-        raise EvalError("overflow in power law", 0) from None
 
 
 @dataclass(frozen=True)
@@ -713,7 +700,7 @@ def detect_extinction(prob: FracProblem, eps_touch: float | None = None) -> Exti
         # phi(x_star) > 0 means no root: the path hit zero inside
         # this step
         x_star = (w * absA * abs(p)) ** (1.0 / (1.0 - p))
-        phi_min = x_star - hval - w * A * _upow(x_star, p)
+        phi_min = x_star - hval - w * A * _pow(x_star, p, 0)
         if phi_min > 0.0:
             touch = t_next
             break

@@ -324,17 +324,27 @@ def _ml_asymptotic(alpha: float, beta: float, z: float):
     return s, tail + EPS * (abs(s) * 4.0 + wmass * (math.log1p(abs(w) + beta) + 5.2))
 
 
+def _gauss(diag: np.ndarray, off: np.ndarray):
+    # Golub-Welsch: nodes of a Gauss rule from its Jacobi matrix, and the
+    # first eigenvector components squared (weights over the total mass)
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, vec[0] ** 2
+
+
+def _gauss_legendre(n: int):
+    # n-point Gauss-Legendre nodes and weights on [-1, 1]
+    m = np.arange(1.0, n)
+    x, w = _gauss(np.zeros(n), m / np.sqrt(4.0 * m * m - 1.0))
+    return x, 2.0 * w
+
+
 @functools.cache
 def _gauss_legendre_pair():
     # Gauss-Legendre pair on [-1, 1]: a panel keeps its 16-point value,
     # and the gap to the 8-point value is its error estimate.  Returns
     # (nodes of both rules, 8-point weights, 16-point weights).
-    # numpy.polynomial takes ~5 ms and ~2 MiB to import, so only a
-    # process that integrates pays for it.
-    from numpy.polynomial.legendre import leggauss
-
-    x8, w8 = leggauss(8)
-    x16, w16 = leggauss(16)
+    x8, w8 = _gauss_legendre(8)
+    x16, w16 = _gauss_legendre(16)
     return np.concatenate([x8, x16]), w8, w16
 
 

@@ -114,6 +114,39 @@ class TestSolveCommand:
         assert rc == 0
         assert len(out.splitlines()) == 18
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("sub", ["solve", "asympt"])
+    @pytest.mark.parametrize(
+        "mesh,key",
+        [
+            ("uniform", "grading"),
+            ("geometric", "grading"),
+            ("uniform", "t_start"),
+            ("graded", "t_start"),
+        ],
+    )
+    def test_shape_of_another_mesh_kind_is_usage_error(self, cli, tmp_path, via, sub, mesh, key):
+        settings = {"gamma": 0.5, "rhs": "-1*u", "u0": 1, "n": 16, "mesh": mesh, key: 0.5}
+        if via == "flag":
+            flags = [(f"--{k.replace('_', '-')}", str(v)) for k, v in settings.items()]
+            rc, out, err = cli(sub, *[arg for pair in flags for arg in pair])
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"subcommand": sub, **settings}))
+            rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"--{key.replace('_', '-')} goes only with --mesh" in err
+
+    @pytest.mark.parametrize(
+        "mesh,shape", [("uniform", []), ("graded", ["grading"]), ("geometric", ["t_start"])]
+    )
+    def test_echo_holds_only_the_shape_read(self, cli, mesh, shape):
+        rc, out, _ = cli("solve", "--gamma", "0.5", "--rhs", "0", "--u0", "1", "--n", "16",
+                         "--mesh", mesh, "--out", "u.csv")
+        assert rc == 0
+        keys = ["subcommand", "gamma", "rhs", "u0", "T", "mesh", "n", *shape, "out"]
+        assert list(json.loads(out)["config"]) == keys
+
     def test_unknown_mesh_is_usage_error(self, cli):
         rc, _, err = cli("solve", "--gamma", "0.5", "--rhs", "0", "--u0", "1",
                          "--mesh", "random")
@@ -529,12 +562,54 @@ class TestVerifyCommand:
         assert reports["stability"]["min_y"] == lib.min_y
         assert reports["stability"]["all_envelopes_ok"] is lib.all_envelopes_ok
 
-    def test_comparison_report_replays_as_config(self, cli, tmp_path):
-        rc, out, _ = cli("verify", "comparison", "--trials", "4", "--n", "64")
+    @pytest.mark.parametrize(
+        "mode,args,keys",
+        [
+            ("comparison", ["--trials", "4", "--n", "64"], ["seed", "trials", "n", "out"]),
+            ("stability", ["--trials", "2", "--n", "32"], ["seed", "trials", "n", "out"]),
+            ("resolvent", ["--n", "256", "--lam", "2"], ["lam", "gamma", "T", "n", "out"]),
+        ],
+        ids=["comparison", "stability", "resolvent"],
+    )
+    def test_report_holds_its_mode_and_replays_as_config(self, cli, tmp_path, mode, args, keys):
+        rc, out, _ = cli("verify", mode, *args)
+        assert list(json.loads(out)["config"]) == ["subcommand", "mode", *keys]
         (tmp_path / "report.json").write_text(out)
         rc2, out2, _ = cli("--config", "report.json")
         assert rc == rc2 == 0
         assert out2 == out
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "mode,key",
+        [
+            ("comparison", "T"),
+            ("comparison", "gamma"),
+            ("comparison", "lam"),
+            ("stability", "T"),
+            ("stability", "gamma"),
+            ("stability", "lam"),
+            ("resolvent", "seed"),
+            ("resolvent", "trials"),
+        ],
+    )
+    def test_setting_of_another_mode_is_usage_error(self, cli, tmp_path, via, mode, key):
+        if via == "flag":
+            rc, out, err = cli("verify", mode, "--n", "16", f"--{key}", "1")
+        else:
+            cfg = {"subcommand": "verify", "mode": mode, "n": 16, key: 1}
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert (f"--{key} " if via == "flag" else f'"{key}"') in err
+        assert f"verify {mode}" in err
+
+    def test_resolvent_reads_no_seed(self, cli, monkeypatch):
+        monkeypatch.setenv("FRACODE_SEED", "many")
+        rc, out, _ = cli("verify", "resolvent", "--n", "1024")
+        assert rc == 0
+        assert "seed" not in json.loads(out)["config"]
 
     @pytest.mark.parametrize(
         "mode,check", [("comparison", "check_comparison"), ("stability", "stability_experiment")]
