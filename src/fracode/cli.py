@@ -21,10 +21,11 @@ in parentheses):
               resolvent  lam=1.0  gamma=0.5  T=1.0  n=4096  out=None
 
 (* = required.)  Every flag can instead be supplied through a JSON
-config file (`--config path`, keys named like the flags with
-underscores); explicit flags override config values.  A flag or key
-that the run would not read (one of another verify mode, a mesh shape
-of another mesh kind) is a usage error.  Every JSON report embeds the
+config file (`--config path` or `--config=path`, keys named like the
+flags with underscores); explicit flags override config values.  A flag
+or key that the run would not read (one of another verify mode, a mesh
+shape of another mesh kind) is a usage error; `fracode verify --help`
+names the modes that read each flag.  Every JSON report embeds the
 fully resolved config, exactly the settings its run read, so a run can
 be reproduced bit for bit by feeding that object back as a config file.
 
@@ -187,12 +188,18 @@ def _build_parser() -> _Parser:
     for name, schema in _SCHEMAS.items():
         sp = subs.add_parser(name, prog=f"fracode {name}")
         sp.add_argument("--config", type=str, default=None)
-        if name == "verify":  # a flag for every mode's settings
+        readers: dict[str, list[str]] = {}
+        if name == "verify":  # a flag for every mode's settings, naming its modes
             sp.add_argument("mode", nargs="?", metavar="{" + ",".join(schema) + "}")
+            for mode, modal in schema.items():
+                for key in modal:
+                    readers.setdefault(key, []).append(mode)
             schema = {key: spec for modal in schema.values() for key, spec in modal.items()}
         for key, (typ, _default) in schema.items():
             flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key, type=typ, default=None)
+            modes = readers.get(key)
+            help = f"read by {', '.join(modes)}" if modes else None
+            sp.add_argument(flag, dest=key, type=typ, default=None, help=help)
     return top
 
 
@@ -224,12 +231,19 @@ def _inject_subcommand(argv: list[str]) -> tuple[list[str], dict | None]:
 
     Returns the argv to parse and the config read on the way, if any.
     """
-    if (argv and argv[0] in _SCHEMAS) or "--config" not in argv:
+    if argv and argv[0] in _SCHEMAS:
         return argv, None
-    i = len(argv) - 1 - argv[::-1].index("--config")  # the last wins, as in argparse
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a path")
-    config = load_config(argv[i + 1])
+    path = None
+    for i, arg in enumerate(argv):  # the last wins, as in argparse
+        if arg == "--config":
+            if i + 1 >= len(argv):
+                raise UsageError("--config needs a path")
+            path = argv[i + 1]
+        elif arg.startswith("--config="):
+            path = arg.partition("=")[2]
+    if path is None:
+        return argv, None
+    config = load_config(path)
     sub = config.get("subcommand")
     if sub not in _SCHEMAS:
         raise UsageError(f"config names no valid subcommand: {sub!r}")

@@ -8,7 +8,9 @@ sin, cos, exp, log, abs, pow, min, max.  No implicit multiplication.
 Trees are immutable; evaluation is pure and raises EvalError with the
 byte offset of the offending node instead of letting inf or nan leak
 into a solver run.  `match_power_law` recognizes A*u^p shapes exactly
-(constants folded, never round-tripped through sampled evaluation).
+(constants folded, never round-tripped through sampled evaluation), and
+`match_affine` sums of u-free terms and u-free multiples of u, as
+compiled coefficient functions a(t), b(t).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "compile_expr",
     "to_str",
     "match_power_law",
+    "match_affine",
     "lipschitz_probe",
 ]
 
@@ -559,20 +562,16 @@ def _const_value(e: Expr) -> float | None:
         return None
 
 
-def match_power_law(e: Expr) -> tuple[float, float] | None:
-    """Recognize f(t,u) = A * u^p; return (A, p) or None.
-
-    Handles products/quotients of constant factors with one u-factor
-    shaped like u, u^c, or pow(u, c), with unary minus folded into A.
-    Constants are folded exactly (never sampled), so downstream
-    asymptotic formulas see the same A and p the user typed.
-    """
-    sign = [1.0]
+def _factors(e: Expr) -> tuple[float, list[tuple[Expr, bool]]]:
+    # (sign, factors) of a product/quotient: unary minus signs folded
+    # into the sign, each factor with whether it divides
+    sign = 1.0
     factors: list[tuple[Expr, bool]] = []
 
     def split(node: Expr, inverted: bool):
+        nonlocal sign
         if isinstance(node, Unary) and node.op == "-":
-            sign[0] = -sign[0]
+            sign = -sign
             split(node.arg, inverted)
         elif isinstance(node, Binary) and node.op == "*":
             split(node.left, inverted)
@@ -584,31 +583,35 @@ def match_power_law(e: Expr) -> tuple[float, float] | None:
             factors.append((node, inverted))
 
     split(e, False)
+    return sign, factors
 
-    a = sign[0]
+
+def _is_u(e: Expr) -> bool:
+    return isinstance(e, Var) and e.name == "u"
+
+
+def match_power_law(e: Expr) -> tuple[float, float] | None:
+    """Recognize f(t,u) = A * u^p; return (A, p) or None.
+
+    Handles products/quotients of constant factors with one u-factor
+    shaped like u, u^c, or pow(u, c), with unary minus folded into A.
+    Constants are folded exactly (never sampled), so downstream
+    asymptotic formulas see the same A and p the user typed.
+    """
+    a, factors = _factors(e)
     p: float | None = None
     for node, inverted in factors:
         if _has_var(node, "u"):
             if p is not None:
                 return None
-            if isinstance(node, Var) and node.name == "u":
+            if _is_u(node):
                 p = 1.0
-            elif (
-                isinstance(node, Binary)
-                and node.op == "^"
-                and isinstance(node.left, Var)
-                and node.left.name == "u"
-            ):
+            elif isinstance(node, Binary) and node.op == "^" and _is_u(node.left):
                 c = _const_value(node.right)
                 if c is None:
                     return None
                 p = c
-            elif (
-                isinstance(node, Call)
-                and node.fn == "pow"
-                and isinstance(node.args[0], Var)
-                and node.args[0].name == "u"
-            ):
+            elif isinstance(node, Call) and node.fn == "pow" and _is_u(node.args[0]):
                 c = _const_value(node.args[1])
                 if c is None:
                     return None
@@ -625,6 +628,60 @@ def match_power_law(e: Expr) -> tuple[float, float] | None:
     if p is None:
         return None
     return a, p
+
+
+def match_affine(e: Expr) -> tuple[Callable[[float], float], Callable[[float], float]] | None:
+    """Recognize f(t,u) = a(t) u + b(t); return compiled (a, b) or None.
+
+    The tree must be a sum, under + and - and unary minus, of terms
+    that are each free of u or a product/quotient of u-free factors and
+    one factor u that does not divide (the factor walk of
+    `match_power_law`).  a sums the u terms' coefficients and b the
+    u-free terms, in the order they appear, each compiled by
+    `compile_expr` as a function of t alone; a sum with no term of a
+    kind gives 0.0 for it.  a(t) u + b(t) equals f(t, u) up to rounding,
+    and a or b raise EvalError where their terms do not evaluate.
+    """
+    terms: list[tuple[Expr, bool]] = []
+
+    def split(node: Expr, negated: bool):
+        if isinstance(node, Unary) and node.op == "-":
+            split(node.arg, not negated)
+        elif isinstance(node, Binary) and node.op in ("+", "-"):
+            split(node.left, negated)
+            split(node.right, negated != (node.op == "-"))
+        else:
+            terms.append((node, negated))
+
+    split(e, False)
+    coefs: list[Expr] = []
+    free: list[Expr] = []
+    for node, negated in terms:
+        if not _has_var(node, "u"):
+            free.append(Unary("-", node) if negated else node)
+            continue
+        sign, factors = _factors(node)
+        rest = [(f, inv) for f, inv in factors if not _is_u(f)]
+        if [inv for f, inv in factors if _is_u(f)] != [False] or any(
+            _has_var(f, "u") for f, _ in rest
+        ):
+            return None
+        coef: Expr = Num(1.0)
+        for i, (f, inv) in enumerate(rest):
+            coef = f if i == 0 and not inv else Binary("/" if inv else "*", coef, f)
+        coefs.append(Unary("-", coef) if (sign < 0.0) != negated else coef)
+    return _compile_of_t(coefs), _compile_of_t(free)
+
+
+def _compile_of_t(terms: list[Expr]) -> Callable[[float], float]:
+    # the compiled sum of u-free terms as a function of t; 0.0 when empty
+    if not terms:
+        return lambda t: 0.0
+    total = terms[0]
+    for term in terms[1:]:
+        total = Binary("+", total, term)
+    fn = compile_expr(total)
+    return lambda t: fn(t, 0.0)
 
 
 def lipschitz_probe(

@@ -328,15 +328,17 @@ class _FarHistory:
     march whose values come one node at a time (`solve`) then reads
     `far(n)`, the integral at t_n over the cells ending at nodes 1..n-1,
     for n >= _SOE_START, and absorbs the cell ending at node n with
-    `absorb(n, ...)`; its rows come _SOE_BLOCK cells at a time.  An
-    operator whose values are all known takes `blocks` instead:
-    _SOE_BLOCK rows at a time, each row's integral over the cells before
-    the block is one product with H held at the block's left node, the
+    `absorb`, which reuses the row `far(n)` read; its rows come
+    _SOE_BLOCK cells at a time.  An operator whose values are all known
+    takes `blocks` instead: _SOE_BLOCK rows at a time, each row's
+    integral over the cells before the block is one product with H held
+    at the block's left node and decayed by exp(-s (t_n - t_lo-1)), the
     cells inside the block are the caller's direct sums, and H then
     crosses the block as in `start`.
     """
 
     def __init__(self, gamma: float, t: np.ndarray):
+        self._t = t
         self._h = np.diff(t)
         self.s, self.w = _soe(gamma, float(self._h[_SOE_START - 1 :].min()), float(t[-1]))
         self._lo = self._hi = 0  # nodes whose rows are held
@@ -373,22 +375,28 @@ class _FarHistory:
         # (lo, hi, far) for the rows _SOE_START.. of a march whose cell end
         # values are all known (as in `start`), _SOE_BLOCK rows at a time:
         # far[i] is the integral at t_{lo+i} over the cells ending at nodes
-        # 1..lo-1, H at t_{lo-1} decayed by the cumulative product of the
-        # block's e rows, exp(-s (t_{lo+i} - t_{lo-1}))
+        # 1..lo-1, H at t_{lo-1} decayed by exp(-s (t_{lo+i} - t_{lo-1})).
+        # The exponent is held at or above -700: numpy's exp takes a slow
+        # path where it underflows, and exp(-700) ~ 1e-304 moves no sum
         self.start(left, right)
-        end = self._h.size + 1
+        t = self._t
+        end = t.size
         for lo in range(_SOE_START, end, _SOE_BLOCK):
             hi = min(lo + _SOE_BLOCK, end)
-            e, wa, wb = self._rows(lo, hi)
-            yield lo, hi, np.cumprod(e, axis=0) @ self.H
+            z = np.multiply.outer(t[lo - 1] - t[lo:hi], self.s)
+            np.maximum(z, -700.0, out=z)
+            yield lo, hi, np.exp(z, out=z) @ self.H
             if hi < end:
-                self._cross(e, wa, wb, left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
+                self._cross(*self._rows(lo, hi), left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
 
     def far(self, n: int) -> float:
-        return float(np.dot(self._row(n)[0], self.H))
+        # the row is held for the `absorb` of the cell ending at node n
+        self._held = self._row(n)
+        return float(np.dot(self._held[0], self.H))
 
-    def absorb(self, n: int, left: float, right: float):
-        e, wa, wb = self._row(n)
+    def absorb(self, left: float, right: float):
+        # the cell ending at the node of the last `far` call
+        e, wa, wb = self._held
         self.H *= e
         self.H += left * wa
         self.H += right * wb

@@ -7,7 +7,12 @@ Everything runs through the equivalent Volterra form
 discretized by the fractional Adams pair on an arbitrary strictly
 increasing mesh: product-rectangle predictor, product-trapezoid
 corrector, solved to roundoff by secant steps with a bracket fallback
-(`_corrector`, in every march).  `solve` and both
+(`_corrector`, in every march).  Where f is affine in u,
+f = a(t) u + b(t) (`FracProblem` finds the form once: a power law with
+p = 1 or 0, or a tree `expressions.match_affine` accepts), `solve`'s
+corrector equation x = hist + w (a x + b) has the root
+(hist + w b)/(1 - w a), which `_corrector` takes with one evaluation
+of f wherever 1 - w a > 0 and the root is admissible.  `solve` and both
 adaptive marches share one Volterra history, `_History`: preallocated
 numpy buffers that grow by doubling, handed to the exact kernel
 moments of fracops as slices; the Adams weights come from
@@ -31,7 +36,8 @@ grows, and fits the blow-up time and strength; `detect_extinction`
 (A<0, p<0) follows the decay until the corrector equation loses its
 positive root, which is the discrete signature of the solution
 touching 0.  In all three marches `SolutionPath.corrector_iterations`
-counts the rhs evaluations of `_corrector`, the accepted one included.
+counts the rhs evaluations of `_corrector`, the accepted one included:
+one per step where the closed form holds.
 """
 
 from __future__ import annotations
@@ -43,7 +49,15 @@ from typing import Callable
 
 import numpy as np
 
-from fracode.expressions import EvalError, Expr, _pow, compile_expr, match_power_law, parse
+from fracode.expressions import (
+    EvalError,
+    Expr,
+    _pow,
+    compile_expr,
+    match_affine,
+    match_power_law,
+    parse,
+)
 from fracode.fracops import (
     Mesh,
     SampledFn,
@@ -98,7 +112,11 @@ class FracProblem:
     the asymptotic machinery sees the exact coefficients.  An untagged
     expression is compiled once, on construction, and `f` calls the
     compiled form; `_with_u0` hands that form on, so the same equation
-    from another start is not compiled again.
+    from another start is not compiled again.  The same goes for the
+    affine form f = a(t) u + b(t), found once on construction where the
+    rhs has it (a power law with p = 1 or p = 0, or a tree that
+    `expressions.match_affine` accepts): `solve`'s corrector solves it
+    in closed form.
     """
 
     gamma: float
@@ -110,11 +128,19 @@ class FracProblem:
     _rhs_fn: Callable[[float, float], float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (a, b) with f(t, u) = a(t) u + b(t), or None
+    _affine: tuple[Callable[[float], float], Callable[[float], float]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._check()
         if self.A is None:
             object.__setattr__(self, "_rhs_fn", compile_expr(self.rhs))
+            object.__setattr__(self, "_affine", match_affine(self.rhs))
+        elif self.p in (0.0, 1.0):
+            a, b = (self.A, 0.0) if self.p == 1.0 else (0.0, self.A)
+            object.__setattr__(self, "_affine", (lambda t: a, lambda t: b))
 
     def _check(self):
         if not 0.0 < self.gamma < 1.0:
@@ -173,7 +199,9 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
     """A marched path.  `corrector_iterations` counts rhs evaluations of
-    the corrector, the accepted one included."""
+    the corrector, the accepted one included: one per step where the
+    corrector takes the closed form of an affine rhs, about three per
+    secant solve."""
 
     mesh: Mesh
     values: np.ndarray
@@ -193,25 +221,41 @@ class SolutionPath:
         return SampledFn(self.mesh, self.values)
 
 
-def _corrector(f, tn, hist, w, x0, lo_limit, peak=None):
-    # root of phi(x) = x - hist - w f(tn, x) by secant steps from the
-    # predictor x0 and its first fixed-point sweep; stops once |phi| is
-    # at roundoff or a step no longer moves x.  A failed evaluation, a
-    # step out of (lo_limit, inf), a slope <= 0 (past the fold, off the
-    # march's branch) or 30 steps hand over to _bracket_solve (with
-    # peak(w), the maximum of a concave phi, if the caller knows it).
+def _corrector(f, tn, hist, w, x0, lo_limit, peak=None, affine=None):
+    # root of phi(x) = x - hist - w f(tn, x).  For f = a(t) x + b(t)
+    # (affine = (a, b)) it is (hist + w b)/(1 - w a) where 1 - w a > 0,
+    # taken if it lies in (lo_limit, inf) and f is finite there: one
+    # evaluation.  Otherwise secant steps from the predictor x0 and its
+    # first fixed-point sweep; they stop once |phi| is at roundoff or a
+    # step no longer moves x.  A failed evaluation, a step out of
+    # (lo_limit, inf), a slope <= 0 (past the fold, off the march's
+    # branch) or 30 steps hand over to _bracket_solve (with peak(w), the
+    # maximum of a concave phi, if the caller knows it).
     # Returns (x, f(tn, x), evaluations): (nan, nan, .) if the bracket finds no
     # root, (root, nan, .) if the rhs fails at the bracket's root
     lo = -math.inf if lo_limit is None else lo_limit
-    x, slope, evals = x0, 1.0, 0
+    evals = 0
+    if affine is not None:
+        try:
+            den = 1.0 - w * affine[0](tn)
+            if den > 0.0:
+                x = (hist + w * affine[1](tn)) / den
+                if lo < x < math.inf:
+                    evals = 1
+                    fx = f(tn, x)
+                    if math.isfinite(fx):
+                        return x, fx, 1
+        except EvalError:
+            pass
+    x, slope = x0, 1.0
     try:
-        for _ in range(30):
+        for i in range(30):
             fx = f(tn, x)
             evals += 1
             r = x - hist - w * fx
             if abs(r) <= 4.0 * EPS * (abs(x) + abs(hist)):
                 return x, fx, evals
-            if evals > 1:
+            if i:
                 slope = (r - r_prev) / (x - x_prev)
             if not slope > 0.0:
                 break
@@ -407,7 +451,7 @@ class _History:
         self._df[self.n - 1] = df = f_next - self._f[self.n - 1]
         self._s[self.n - 1] = df / self._h[self.n - 1]
         if self.n >= self._stop:
-            self._far.absorb(self.n, self._f[self.n - 1], f_next)
+            self._far.absorb(self._f[self.n - 1], f_next)
         self.n += 1
 
     def path(self, status: PathStatus, iters: int) -> SolutionPath:
@@ -454,7 +498,7 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
 
     for n in range(1, t.size):
         pred, hval, w = hist.weights(t[n])
-        x, fx, used = _corrector(prob.f, t[n], hval, w, pred, lo_limit)
+        x, fx, used = _corrector(prob.f, t[n], hval, w, pred, lo_limit, affine=prob._affine)
         iters += used
         if not math.isfinite(x) or abs(x) > 1e300:
             return truncated(escape_status())

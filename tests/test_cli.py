@@ -248,6 +248,18 @@ class TestConfigHandling:
         rc, _, err = cli("--config")
         assert rc == 2
 
+    def test_config_with_equals_sign_names_the_subcommand(self, cli, tmp_path):
+        cfg = {"subcommand": "solve", "gamma": 0.5, "rhs": "0", "u0": 1, "T": 1, "n": 16}
+        (tmp_path / "eq.json").write_text(json.dumps(cfg))
+        rc, out, _ = cli("--config=eq.json")
+        assert rc == 0
+        assert out == cli("--config", "eq.json")[1]
+        # the last --config wins, in either spelling
+        rc, _, err = cli("--config=eq.json", "--config", "nowhere.json")
+        assert rc == 2 and "cannot read config" in err
+        rc, out2, _ = cli("--config", "nowhere.json", "--config=eq.json")
+        assert rc == 0 and out2 == out
+
     def test_non_object_config(self, cli, tmp_path):
         (tmp_path / "list.json").write_text("[1, 2]")
         rc, _, err = cli("solve", "--config", "list.json")
@@ -440,6 +452,19 @@ class TestEnvelopeCommand:
 
 
 class TestVerifyCommand:
+    def test_help_names_the_modes_that_read_each_flag(self, cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.strip().startswith("--")}
+        for flag in ("--seed", "--trials"):
+            assert lines[flag].endswith("read by comparison, stability")
+        for flag in ("--lam", "--gamma", "--T"):
+            assert lines[flag].endswith("read by resolvent")
+        for flag in ("--n", "--out"):
+            assert lines[flag].endswith("read by comparison, resolvent, stability")
+
     def test_resolvent_passes(self, cli):
         rc, out, _ = cli("verify", "resolvent", "--n", "1024")
         assert rc == 0

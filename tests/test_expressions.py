@@ -26,6 +26,7 @@ from fracode.expressions import (
     compile_expr,
     evaluate,
     lipschitz_probe,
+    match_affine,
     match_power_law,
     parse,
     to_str,
@@ -469,6 +470,44 @@ class TestPowerLawMatch:
         a, p = match_power_law(parse("exp(1)*u^2"))
         assert a == math.exp(1.0)
         assert p == 2.0
+
+
+class TestAffineMatch:
+    @pytest.mark.parametrize(
+        "src, a, b",
+        [
+            ("u - t", lambda t: 1.0, lambda t: -t),
+            ("sin(t)*u + 2", math.sin, lambda t: 2.0),
+            ("-1*u", lambda t: -1.0, lambda t: 0.0),
+            ("-(u*t/2) - 3*t", lambda t: -t / 2.0, lambda t: -3.0 * t),
+            ("t - -u + u/t", lambda t: 1.0 + 1.0 / t, lambda t: t),
+            ("exp(t)", lambda t: 0.0, math.exp),
+        ],
+    )
+    def test_matches(self, src, a, b):
+        got = match_affine(parse(src))
+        assert got is not None
+        f = compile_expr(parse(src))
+        for t in (0.25, 0.5, 2.0):
+            assert got[0](t) == pytest.approx(a(t), rel=1e-15, abs=0.0)
+            assert got[1](t) == pytest.approx(b(t), rel=1e-15, abs=0.0)
+            for u in (-1.5, 0.0, 3.0):
+                assert got[0](t) * u + got[1](t) == pytest.approx(f(t, u), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "src",
+        ["u^2", "u*u", "min(u, 1)", "sin(u)", "1/u", "t/u", "u*sin(u) + t", "u^1", "exp(u) - u"],
+    )
+    def test_rejects(self, src):
+        assert match_affine(parse(src)) is None
+
+    def test_coefficient_raises_where_its_terms_do_not_evaluate(self):
+        a, b = match_affine(parse("log(t - 1)*u + 1/t"))
+        with pytest.raises(EvalError):
+            a(0.5)
+        with pytest.raises(EvalError):
+            b(0.0)
+        assert a(3.0) == math.log(2.0) and b(4.0) == 0.25
 
 
 class TestLipschitzProbe:
