@@ -34,5 +34,12 @@ fracode --config extinction.json > extinction2.json
 cmp extinction.json extinction2.json
 echo 'extinction replay matches'
 
+echo '# stability in initial values on 4 corpus trials, replayed from its report'
+fracode verify stability --trials 4 > stability.json
+grep -E '"(pass|all_envelopes_ok)"' stability.json
+fracode --config stability.json > stability2.json
+cmp stability.json stability2.json
+echo 'stability replay matches'
+
 echo '# the verification gate: resolvent identities at n = 2048'
 fracode verify resolvent --n 2048 | python3 -m json.tool | grep -E 'pass|residual|identity'

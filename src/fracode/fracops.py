@@ -17,10 +17,14 @@ x^(gamma+1) - y^(gamma+1) = x d0 + h P gives the first moment; the tip
 cell (y = 0) is one scalar power.  On a known mesh the kernel forms
 whole blocks of rows at once (`_moment_blocks`, at most _BLOCK_CELLS
 cells each): the operators take each block's rows as matrix-vector
-products, and `solve` reads each row once, in order (`_block_rows`);
-the adaptive marches, whose next node is not known, make one call per
-step.  `frac_integral` and the solver's history take the Adams weights
-from one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
+products, and `solve` reads each row once, in order, with the first
+moment's product x d0 formed once per block (`_block_rows`); the
+adaptive marches, whose next node is not known, make one call per
+step.  Inside a `_sharing_blocks` scope (one per corpus trial, whose
+two solves and integral run on one mesh) a mesh of fewer than
+_SOE_START nodes forms its blocks once, for every march over it.
+`frac_integral` and the solver's history take the Adams weights from
+one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
 at least _SOE_MIN_NODES nodes all three take the far cells from node
 _SOE_START on out of a sum of exponentials (`_soe`, `_FarHistory`),
 O(N K) instead of the direct O(N^2) sums: `solve` every cell behind
@@ -36,6 +40,8 @@ bitwise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,13 +217,12 @@ def _moment_blocks(gamma: float, t: np.ndarray, h: np.ndarray, lo: int, stop: in
 # slope of f; on the tip cell, f_{n-1} tip/(gamma+1) + f_n tip/(gamma(gamma+1)).
 
 
-def _corrector_cells(gamma: float, x, d0, P, f, s, df):
+def _corrector_cells(gamma: float, xd0, d0, P, f, s, df):
     # (f.d0, Gamma(gamma) sum_j f_j M0 + s_j M1) over the cells behind the
-    # tip, from the kernel's d0 and P and x = tn - t_j, which is overwritten;
-    # 1-D for one row, 2-D (rows, cells) for a block
+    # tip, from the kernel's d0 and P and xd0 = (tn - t_j) d0; 1-D for one
+    # row, 2-D (rows, cells) for a block
     fm0 = np.dot(d0, f)  # for one row np.dot is about 1 us faster than @
-    x *= d0
-    return fm0, fm0 / gamma + (np.dot(x, s) / gamma - np.dot(P, df)) / (gamma + 1.0)
+    return fm0, fm0 / gamma + (np.dot(xd0, s) / gamma - np.dot(P, df)) / (gamma + 1.0)
 
 
 def _corrector_tip(gamma: float, inv_g: float, cells, tip, f_tip):
@@ -402,12 +407,54 @@ class _FarHistory:
         self.H += right * wb
 
 
+# The direct blocks of each short mesh, keyed on (gamma, nodes), while a
+# `_sharing_blocks` scope is open in this thread or task; None outside one
+_SHARED: ContextVar[dict | None] = ContextVar("fracops_shared_blocks", default=None)
+
+
+@contextmanager
+def _sharing_blocks():
+    """Form the direct kernel blocks of each short mesh once in this scope.
+
+    Inside it, every march over a known mesh of fewer than _SOE_START
+    nodes (so with no far modes) reads the blocks of its (gamma, nodes)
+    from one read-only tuple, formed by the first march that asks: each
+    corpus trial solves one equation from two starts on one mesh, and
+    `stability_experiment` integrates on it again.  The blocks are the
+    same bits as formed one march at a time, and are dropped when the
+    scope closes, also on an exception.  Other threads and tasks do not
+    see the scope.  At most 511 nodes hold about 2.4 MB of blocks (0.7 MB
+    at the corpus's 257).
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared_blocks(shared: dict, gamma: float, t: np.ndarray, h: np.ndarray):
+    key = (gamma, t.tobytes())
+    blocks = shared.get(key)
+    if blocks is None:
+        blocks = tuple(_moment_blocks(gamma, t, h, 1, t.size))
+        for _, _, *arrays in blocks:
+            for a in arrays:
+                a.setflags(write=False)
+        shared[key] = blocks
+    return blocks
+
+
 def _known_mesh(gamma: float, t: np.ndarray, h: np.ndarray):
     # (blocks, far, stop) for a march over the known nodes t, h = np.diff(t):
     # rows 1..stop-1 are direct, the `_moment_blocks`, and far serves rows
-    # stop.. on; a mesh under _SOE_MIN_NODES nodes has far None, stop t.size
+    # stop.. on; a mesh under _SOE_MIN_NODES nodes has far None, stop t.size.
+    # Inside `_sharing_blocks` a mesh under _SOE_START nodes shares them
     far = _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
     stop = t.size if far is None else _SOE_START
+    shared = _SHARED.get()
+    if shared is not None and far is None and t.size < _SOE_START:
+        return _shared_blocks(shared, gamma, t, h), far, stop
     return _moment_blocks(gamma, t, h, 1, stop), far, stop
 
 
@@ -429,14 +476,18 @@ def _known_blocks(gamma: float, t: np.ndarray, h: np.ndarray, left, right):
             del moments
 
 
-def _block_rows(blocks):
-    # the rows of blocks in order, each what the one-row call
-    # _trapezoid_moments(gamma, t[n], t[: n + 1]) gives, bit for bit; a
-    # block is released before the next is formed
+def _block_rows(blocks, t: np.ndarray):
+    # the rows of blocks over the nodes t in order: (x d0, d0, P, tip) for
+    # row n, x = t_n - t[: n - 1], with d0, P and tip what the one-row call
+    # _trapezoid_moments(gamma, t[n], t[: n + 1]) gives, bit for bit; x d0
+    # is formed once per block, and a block is released before the next
+    # is formed
     for lo, hi, d0, P, tips in blocks:
+        xd0 = t[lo:hi, None] - t[: hi - 2]
+        xd0 *= d0
         for i, n in enumerate(range(lo, hi)):
-            yield d0[i, : n - 1], P[i, : n - 1], float(tips[i])
-        del d0, P, tips
+            yield xd0[i, : n - 1], d0[i, : n - 1], P[i, : n - 1], float(tips[i])
+        del xd0, d0, P, tips
 
 
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
@@ -458,11 +509,12 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     out = np.zeros(t.size)
     for lo, hi, b, d0, P, tip, far in _known_blocks(gamma, t, h, v[:-1], v[1:]):
         c = hi - 2  # cells behind the last row's tip
-        x = t[lo:hi, None] - t[b:c]
-        _, cells = _corrector_cells(gamma, x, d0, P, v[b:c], s[b:c], df[b:c])
+        xd0 = t[lo:hi, None] - t[b:c]
+        xd0 *= d0
+        _, cells = _corrector_cells(gamma, xd0, d0, P, v[b:c], s[b:c], df[b:c])
         hist, w = _corrector_tip(gamma, inv_g, cells + far, tip, v[lo - 1 : hi - 1])
         out[lo:hi] = hist + w * v[lo:hi]
-        del x, d0, P, tip  # before the next block is formed
+        del xd0, d0, P, tip  # before the next block is formed
     return SampledFn(g.mesh, out)
 
 

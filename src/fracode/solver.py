@@ -363,10 +363,13 @@ class _History:
     df and slope df/h of f on the cell it closes.  `solve` marches a
     fixed mesh the same way, node by node, with its `nodes` given ahead:
     the mesh size is the cap, each `weights` call reads the next moment
-    row of blocks formed ahead (`fracops._block_rows`, the same bits as
-    one call per row), and a long mesh takes the far history from
-    `fracops._FarHistory` from the split `fracops._known_mesh` sets on
-    (one dot per `weights`, one update of the modes per `accept`); the
+    row and its x d0 from blocks formed ahead (`fracops._block_rows`:
+    the same bits as one call per row, x d0 formed once per block; inside
+    `fracops._sharing_blocks`, as in a corpus trial, the marches over one
+    short mesh read one set of blocks), and a long mesh takes the far
+    history from `fracops._FarHistory` from the split
+    `fracops._known_mesh` sets on (one dot per `weights`, one update of
+    the modes per `accept`); the
     predictor then takes the corrector's far part, and the held rows are
     dropped.  Otherwise the kernel sees slices of the buffers, never
     rebuilt arrays, and the sums are the direct O(N^2) ones in a fixed
@@ -386,7 +389,7 @@ class _History:
         self._stop = math.inf  # the first node served by the far modes
         if nodes is not None:
             blocks, self._far, self._stop = _known_mesh(gamma, nodes, np.diff(nodes))
-            self._rows = _block_rows(blocks)
+            self._rows = _block_rows(blocks, nodes)
         self._t = np.zeros(_HISTORY_START)
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
@@ -432,13 +435,13 @@ class _History:
             hist, w = _corrector_tip(g, self.inv_g, far, tip, fk)
             return pred, self.u0 + hist, w
         if self._rows is not None:
-            d0, P, tip = next(self._rows)
+            xd0, d0, P, tip = next(self._rows)
         else:
             d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
+            xd0 = t_next - self._t[:k]
+            xd0 *= d0
         # the predictor shares f_j M0 with the corrector
-        fm0, cells = _corrector_cells(
-            g, t_next - self._t[:k], d0, P, self._f[:k], self._s[:k], self._df[:k]
-        )
+        fm0, cells = _corrector_cells(g, xd0, d0, P, self._f[:k], self._s[:k], self._df[:k])
         pred = self.u0 + self.inv_g * (float(fm0) + fk * tip) / g
         hist, w = _corrector_tip(g, self.inv_g, float(cells), tip, fk)
         return pred, self.u0 + hist, w

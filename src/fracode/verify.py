@@ -54,6 +54,7 @@ from fracode.expressions import (  # noqa: F401 -- the benchmark trace binds ver
 from fracode.fracops import (
     Mesh,
     SampledFn,
+    _sharing_blocks,
     caputo_l1,
     default_grading,
     frac_integral,
@@ -429,6 +430,8 @@ def corpus_problems(seed: int = CORPUS_SEED, trials: int = 100) -> tuple[CorpusP
     """Reproducible falsification corpus; same seed, same problems."""
     if trials < 1:
         raise ValueError(f"corpus needs trials >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"corpus needs seed >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(trials)
     out = []
     for k in range(trials):
@@ -473,7 +476,10 @@ def corpus_reports(
     out = []
     for prob in corpus_problems(seed, trials):
         try:
-            rep = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
+            # the trial's solves and integrals share one mesh's kernel
+            # blocks, formed once and dropped when the trial ends
+            with _sharing_blocks():
+                rep = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
         except Exception as exc:
             raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
         out.append((prob, rep))

@@ -545,6 +545,20 @@ class TestVerifyCommand:
         assert rc == 2
         assert "FRACODE_SEED" in err
 
+    @pytest.mark.parametrize("mode", ["comparison", "stability"])
+    def test_negative_seed_is_usage_error(self, cli, mode):
+        rc, out, err = cli("verify", mode, "--seed", "-1", "--trials", "2", "--n", "32")
+        assert rc == 2
+        assert out == ""
+        assert "corpus needs seed >= 0, got -1" in err
+
+    def test_negative_env_seed_is_usage_error(self, cli, monkeypatch):
+        monkeypatch.setenv("FRACODE_SEED", "-1")
+        rc, out, err = cli("verify", "stability", "--trials", "2", "--n", "32")
+        assert rc == 2
+        assert out == ""
+        assert "corpus needs seed >= 0, got -1" in err
+
     @pytest.mark.parametrize("mode,trials", [("comparison", "0"), ("stability", "-3")])
     def test_empty_corpus_is_usage_error(self, cli, mode, trials):
         rc, out, err = cli("verify", mode, "--trials", trials, "--n", "32")

@@ -9,6 +9,7 @@ rounding tolerance, at every step of several meshes and orders.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -508,6 +509,73 @@ class TestMomentBlocks:
         assert self._check_rows(gamma, t, ones) == list(range(1, t.size))
         thirds = [(lo, min(lo + 3, t.size)) for lo in range(1, t.size, 3)]
         assert self._check_rows(gamma, t, thirds) == list(range(1, t.size))
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.77])
+    @pytest.mark.parametrize("kind", ["uniform", "graded", "geometric"])
+    def test_block_rows_carry_x_d0(self, gamma, kind):
+        # x d0 is formed once per block; each row's slice is the one-row
+        # product (t_n - t[: n - 1]) d0, bit for bit, next to the one-row
+        # call's d0, P and tip
+        mesh = {
+            "uniform": Mesh.uniform(1.0, 400),
+            "graded": Mesh.graded(1.0, 400, default_grading(gamma)),
+            "geometric": Mesh.geometric(50.0, 400, 1e-6),
+        }[kind]
+        t = mesh.nodes
+        h = np.diff(t)
+        blocks = list(fracops._moment_blocks(gamma, t, h, 1, t.size))
+        assert len(blocks) > 1
+        seen = []
+        for n, (xd0, d0, P, tip) in enumerate(fracops._block_rows(blocks, t), start=1):
+            one = _trapezoid_moments(gamma, float(t[n]), t[: n + 1], h[:n])
+            assert np.array_equal(d0, one[0]) and np.array_equal(P, one[1]), n
+            assert tip == one[2], n
+            assert xd0.shape == (n - 1,)
+            assert np.array_equal(xd0, (t[n] - t[: n - 1]) * d0), n
+            seen.append(n)
+        assert seen == list(range(1, t.size))
+
+    def test_shared_blocks_are_keyed_on_gamma_and_nodes(self):
+        # inside a share, operators of several orders on two meshes of one
+        # size give what they give one call at a time, and the held blocks
+        # are read-only
+        meshes = (Mesh.graded(1.0, 200, 4.0), Mesh.uniform(1.0, 200))
+        gammas = (0.3, 0.7)
+        fns = [SampledFn(m, np.cos(3.0 * m.nodes)) for m in meshes]
+        direct = [
+            (frac_integral(g, v).values, caputo_l1(g, v, 1.0).values) for g in gammas for v in fns
+        ]
+        with fracops._sharing_blocks():
+            shared = [
+                (frac_integral(g, v).values, caputo_l1(g, v, 1.0).values)
+                for g in gammas
+                for v in fns
+            ]
+            # caputo_l1 of order g takes the kernel of order 1 - g
+            assert len(fracops._SHARED.get()) == 6
+            for blocks in fracops._SHARED.get().values():
+                for _, _, *arrays in blocks:
+                    assert not any(a.flags.writeable for a in arrays)
+        assert fracops._SHARED.get() is None
+        for (jd, ld), (js, ls) in zip(direct, shared):
+            assert np.array_equal(jd, js) and np.array_equal(ld, ls)
+
+    def test_a_share_stays_in_its_thread(self):
+        # another thread's operators neither see nor fill the scope
+        mesh = Mesh.uniform(1.0, 64)
+        v = SampledFn(mesh, np.cos(mesh.nodes))
+        seen = []
+
+        def other():
+            seen.append(fracops._SHARED.get())
+            frac_integral(0.5, v)
+
+        with fracops._sharing_blocks():
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join()
+            assert seen == [None]
+            assert fracops._SHARED.get() == {}
 
     @pytest.mark.parametrize("gamma", [0.2, 0.77])
     def test_blocks_straddling_the_far_start(self, gamma):

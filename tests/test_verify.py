@@ -12,6 +12,7 @@ are frozen an order of magnitude above the observed values; the hard
 ceilings (1e-3) come from the check's contract.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -439,6 +440,13 @@ class TestCorpus:
         with pytest.raises(ValueError, match="corpus needs trials >= 1"):
             run_corpus(trials=trials, n=32)
 
+    @pytest.mark.parametrize("seed", [-1, -736413])
+    def test_negative_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"^corpus needs seed >= 0, got {seed}$"):
+            corpus_problems(seed, 3)
+        with pytest.raises(ValueError, match="corpus needs seed >= 0"):
+            run_corpus(seed=seed, trials=2, n=32)
+
     def test_records_mirror_problems(self):
         probs = corpus_problems(CORPUS_SEED, 6)
         rep = run_corpus(seed=CORPUS_SEED, trials=6, n=64)
@@ -476,3 +484,110 @@ class TestCorpus:
         assert rep.comparison.min_margin == min(r.min_margin for r in rep.records)
         assert rep.comparison.violations == sum(r.violations for r in rep.records)
         assert rep.min_y == min(r.min_y for r in rep.records)
+
+
+def _assert_same_report(got, want):
+    # field by field: sampled paths by np.array_equal, every float, tuple
+    # and bool by ==
+    if isinstance(want, tuple) and not dataclasses.is_dataclass(want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_report(g, w)
+        return
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, SampledFn):
+            assert np.array_equal(g.mesh.nodes, w.mesh.nodes), field.name
+            assert np.array_equal(g.values, w.values), field.name
+        else:
+            assert g == w, field.name
+
+
+class TestSharedKernelBlocks:
+    """The marches of one corpus trial read one set of kernel blocks,
+    formed once; the reports are those of the checks run one march at a
+    time, bit for bit, and nothing is held once a trial ends."""
+
+    @staticmethod
+    def _count_moments(monkeypatch):
+        calls = []
+        moments = fracops._trapezoid_moments
+
+        def counted(*args):
+            calls.append(args)
+            return moments(*args)
+
+        monkeypatch.setattr(fracops, "_trapezoid_moments", counted)
+        monkeypatch.setattr(solver, "_trapezoid_moments", counted)
+        return calls
+
+    @staticmethod
+    def _blocks_per_mesh(n):
+        # the block split depends on the node count only
+        t = Mesh.uniform(1.0, n).nodes
+        return len(list(fracops._moment_blocks(0.5, t, np.diff(t), 1, t.size)))
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_comparison, stability_experiment, verify._comparison_and_stability],
+        ids=lambda c: c.__name__,
+    )
+    @pytest.mark.parametrize("trials,n", [(6, 64), (4, 256)])
+    def test_shared_reports_match_direct_checks(self, check, trials, n):
+        shared = corpus_reports(check, seed=CORPUS_SEED, trials=trials, n=n)
+        assert len(shared) == trials
+        for prob, rep in shared:
+            assert fracops._SHARED.get() is None
+            direct = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
+            _assert_same_report(rep, direct)
+
+    def test_a_trial_forms_its_blocks_once(self, monkeypatch):
+        # two solves and one frac_integral per trial: 3 sets of blocks
+        # one march at a time, 1 set shared
+        per_mesh = self._blocks_per_mesh(256)
+        assert per_mesh > 1
+        probs = corpus_problems(CORPUS_SEED, 4)
+        calls = self._count_moments(monkeypatch)
+        for prob in probs:
+            stability_experiment(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=256)
+        assert len(calls) == 12 * per_mesh
+        calls.clear()
+        corpus_reports(stability_experiment, seed=CORPUS_SEED, trials=4, n=256)
+        assert len(calls) == 4 * per_mesh
+
+    def test_nothing_is_held_after_the_corpus(self, monkeypatch):
+        got = corpus_reports(check_comparison, seed=CORPUS_SEED, trials=2, n=64)
+        assert fracops._SHARED.get() is None
+        prob = got[0][0]
+        calls = self._count_moments(monkeypatch)
+        # a later solve on trial 0's mesh forms its blocks again
+        solve(FracProblem.from_rhs(prob.gamma, prob.rhs, prob.u10, prob.T),
+              Mesh.graded(prob.T, 64, default_grading(prob.gamma)))
+        assert len(calls) == self._blocks_per_mesh(64)
+
+    def test_nothing_is_held_after_a_failing_trial(self, monkeypatch):
+        held = []
+
+        def failing(rhs, gamma, u10, u20, T, n):
+            check_comparison(rhs, gamma, u10, u20, T=T, n=n)
+            held.append(len(fracops._SHARED.get()))
+            raise ValueError("injected")
+
+        with pytest.raises(RuntimeError, match=r"^corpus trial 0 failed: injected$"):
+            corpus_reports(failing, seed=CORPUS_SEED, trials=3, n=64)
+        assert held == [1]
+        assert fracops._SHARED.get() is None
+        calls = self._count_moments(monkeypatch)
+        prob = corpus_problems(CORPUS_SEED, 1)[0]
+        check_comparison(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=64)
+        assert len(calls) == 2 * self._blocks_per_mesh(64)
+
+    @pytest.mark.parametrize("offset,shared", [(-2, True), (-1, False), (0, False)])
+    def test_only_meshes_under_the_far_start_share(self, monkeypatch, offset, shared):
+        # n + 1 nodes share only below fracops._SOE_START
+        n = fracops._SOE_START + offset
+        per_mesh = self._blocks_per_mesh(n)
+        calls = self._count_moments(monkeypatch)
+        corpus_reports(check_comparison, seed=CORPUS_SEED, trials=1, n=n)
+        assert len(calls) == (1 if shared else 2) * per_mesh
