@@ -19,6 +19,9 @@ echo '# replay from the report: byte-identical output'
 fracode --config report.json --out u2.csv > /dev/null
 cmp u.csv u2.csv
 echo 'replay matches'
+fracode --config report.json solve --out u3.csv > /dev/null
+cmp u.csv u3.csv
+echo 'config-first replay matches'
 
 echo '# apply the memory-kernel transforms to the sampled path'
 fracode caputo --gamma 0.5 --in u.csv --out du.csv > /dev/null

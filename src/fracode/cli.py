@@ -21,8 +21,9 @@ in parentheses):
               resolvent  lam=1.0  gamma=0.5  T=1.0  n=4096  out=None
 
 (* = required.)  Every flag can instead be supplied through a JSON
-config file (`--config path` or `--config=path`, keys named like the
-flags with underscores); explicit flags override config values.  A flag
+config file (`--config path` or `--config=path`, before or after the
+subcommand, keys named like the flags with underscores, each value of
+its setting's type); explicit flags override config values.  A flag
 or key that the run would not read (one of another verify mode, a mesh
 shape of another mesh kind) is a usage error; `fracode verify --help`
 names the modes that read each flag.  Every JSON report embeds the
@@ -39,6 +40,7 @@ significant digits and LF line endings; files are written atomically
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -187,6 +189,7 @@ def _build_parser() -> _Parser:
     subs = top.add_subparsers(dest="subcommand")
     for name, schema in _SCHEMAS.items():
         sp = subs.add_parser(name, prog=f"fracode {name}")
+        # listed in --help; _CONFIG_PARSER has taken every --config before
         sp.add_argument("--config", type=str, default=None)
         readers: dict[str, list[str]] = {}
         if name == "verify":  # a flag for every mode's settings, naming its modes
@@ -204,6 +207,10 @@ def _build_parser() -> _Parser:
 
 
 _PARSER = _build_parser()
+# reads every --config (or --config=, or an abbreviation) wherever it
+# stands, the last winning, and hands the other tokens on in order
+_CONFIG_PARSER = _Parser(prog="fracode", add_help=False)
+_CONFIG_PARSER.add_argument("--config", type=str, default=None)
 
 
 def load_config(path: str) -> dict:
@@ -226,30 +233,6 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _inject_subcommand(argv: list[str]) -> tuple[list[str], dict | None]:
-    """Allow running straight from a config that names the subcommand.
-
-    Returns the argv to parse and the config read on the way, if any.
-    """
-    if argv and argv[0] in _SCHEMAS:
-        return argv, None
-    path = None
-    for i, arg in enumerate(argv):  # the last wins, as in argparse
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.partition("=")[2]
-    if path is None:
-        return argv, None
-    config = load_config(path)
-    sub = config.get("subcommand")
-    if sub not in _SCHEMAS:
-        raise UsageError(f"config names no valid subcommand: {sub!r}")
-    return [sub] + argv, config
-
-
 def _effective_config(sub: str, config: dict, ns: argparse.Namespace) -> dict:
     schema = _SCHEMAS[sub]
     if "subcommand" in config and config["subcommand"] != sub:
@@ -267,7 +250,7 @@ def _effective_config(sub: str, config: dict, ns: argparse.Namespace) -> dict:
         if key not in allowed:
             raise UsageError(f'unknown config key "{key}" for {name}')
     for key, val in vars(ns).items():
-        if val is not None and key not in allowed | {"config"}:
+        if val is not None and key not in allowed:
             raise UsageError(f"--{key.replace('_', '-')} does not apply to {name}")
     eff = {"subcommand": sub}
     for key, (typ, default) in schema.items():
@@ -279,12 +262,25 @@ def _effective_config(sub: str, config: dict, ns: argparse.Namespace) -> dict:
         if val is _REQUIRED:
             raise UsageError(f"missing required --{key.replace('_', '-')} for {sub}")
         if val is not None:
-            try:
-                val = typ(val)
-            except (TypeError, ValueError):
+            if not _of_type(typ, val):
                 raise UsageError(f"bad value for --{key.replace('_', '-')}: {val!r}")
+            val = typ(val)
         eff[key] = val
     return eff
+
+
+def _of_type(typ: type, val) -> bool:
+    """Whether a flag or config value has its setting's type.
+
+    An int does for a float setting and an integral float for an int
+    one, so every echo replays; but int() and float() would read true
+    as 1 and cut 2.7 to 2, and str() would name a file after any value.
+    """
+    if typ is str:
+        return isinstance(val, str)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    return typ is float or isinstance(val, int) or val.is_integer()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -331,24 +327,28 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(t), np.asarray(u)
 
 
-def _emit_report(eff: dict, payload: dict) -> None:
-    report = {"version": __version__, "config": eff, **payload}
-    text = json.dumps(report, indent=2) + "\n"
+def _emit_report(eff: dict, payload: dict, artifact: str | None = None) -> None:
+    """The JSON report to stdout; --out gets the artifact, else the report."""
+    text = json.dumps({"version": __version__, "config": eff, **payload}, indent=2) + "\n"
     if eff.get("out"):
-        _atomic_write(eff["out"], text)
+        _atomic_write(eff["out"], text if artifact is None else artifact)
     sys.stdout.write(text)
 
 
 def _emit_csv(eff: dict, t: np.ndarray, u: np.ndarray, extra: dict) -> None:
+    # with --out the CSV goes there and the report (with the config
+    # echo) to stdout, so the run stays reproducible
     text = _csv_text(t, u)
     if eff.get("out"):
-        # the artifact goes to --out; the report (with the config echo)
-        # goes to stdout so the run stays reproducible
-        _atomic_write(eff["out"], text)
-        report = {"version": __version__, "config": eff, **extra, "rows": int(t.size)}
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        _emit_report(eff, {**extra, "rows": int(t.size)}, artifact=text)
     else:
         sys.stdout.write(text)
+
+
+def _fields(result, skip=("path",)) -> dict:
+    """A result dataclass's fields, in order, as report keys."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name not in skip}
 
 
 def _build_mesh(eff: dict) -> Mesh:
@@ -407,27 +407,14 @@ def _run_jint(eff: dict) -> int:
 def _run_blowup(eff: dict) -> int:
     prob = FracProblem.power_law(eff["gamma"], eff["A"], eff["p"], eff["u0"], 1.0)
     rep = detect_blowup(prob, u_max=eff["u_max"], refine_levels=eff["refine_levels"])
-    _emit_report(
-        eff,
-        {
-            "Tb_estimate": rep.Tb_estimate,
-            "exponent_fit": rep.exponent_fit,
-            "constant_fit": rep.constant_fit,
-            "theory_exponent": rep.theory_exponent,
-            "theory_constant": rep.theory_constant,
-            "refinement_drift": rep.refinement_drift,
-        },
-    )
+    _emit_report(eff, _fields(rep))
     return EXIT_OK
 
 
 def _run_extinction(eff: dict) -> int:
     prob = FracProblem.power_law(eff["gamma"], eff["A"], eff["p"], eff["u0"], 1.0)
     rep = detect_extinction(prob, eps_touch=eff["eps_touch"])
-    _emit_report(
-        eff,
-        {"touch_time": rep.touch_time, "upper_bound_time": rep.upper_bound_time},
-    )
+    _emit_report(eff, _fields(rep))
     return EXIT_OK
 
 
@@ -463,10 +450,7 @@ def _run_asympt(eff: dict) -> int:
     _emit_report(
         eff,
         {
-            "exponent": fit.exponent,
-            "constant": fit.constant,
-            "window": list(fit.window),
-            "rms_residual": fit.rms_residual,
+            **_fields(fit),
             "theory_exponent": theory_exp,
             "theory_constant": theory_const,
             "status": path.status.name,
@@ -491,15 +475,8 @@ def _run_envelope(eff: dict) -> int:
     _emit_report(
         eff,
         {
-            "params": {
-                "a": params.a,
-                "t0": params.t0,
-                "B1": params.B1,
-                "B2": params.B2,
-                "C1": params.C1,
-                "C2": params.C2,
-                "M1": params.M1,
-            },
+            # the problem's own gamma, p, A and u0 are in the config echo
+            "params": _fields(params, skip=("gamma", "p", "A", "u0")),
             "min_sub_margin_rel": sub_margin,
             "min_super_margin_rel": super_margin,
             "tolerance_rel": 1e-6,
@@ -592,14 +569,18 @@ _DISPATCH = {
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, config = _inject_subcommand(argv)
+        pre, argv = _CONFIG_PARSER.parse_known_args(argv)
+        config = {} if pre.config is None else load_config(pre.config)
+        if pre.config is not None and not (argv and argv[0] in _SCHEMAS):
+            sub = config.get("subcommand")
+            if sub not in list(_SCHEMAS):  # a list: the config's value may be unhashable
+                raise UsageError(f"config names no valid subcommand: {sub!r}")
+            argv.insert(0, sub)
         ns = _PARSER.parse_args(argv)
         if ns.subcommand is None:
             raise UsageError(
                 "a subcommand is required\n" + _PARSER.format_usage().rstrip()
             )
-        if config is None:
-            config = load_config(ns.config) if ns.config else {}
         eff = _effective_config(ns.subcommand, config, ns)
         return _DISPATCH[ns.subcommand](eff)
     except UsageError as exc:

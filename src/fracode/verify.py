@@ -43,13 +43,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from fracode.expressions import (  # noqa: F401 -- the benchmark trace binds verify.evaluate
+    Binary,
     EvalError,
     Expr,
     compile_expr,
     evaluate,
     lipschitz_probe,
     parse,
-    to_str,
 )
 from fracode.fracops import (
     Mesh,
@@ -194,7 +194,7 @@ def check_subsupersolution(
     f_expr = _as_expr(f)
     d_expr = _as_expr(delta)
     _require_nonnegative_forcing(d_expr, T)
-    lifted = parse(f"({to_str(f_expr)}) + ({to_str(d_expr)})")
+    lifted = Binary("+", f_expr, d_expr)
     mesh = _mesh_for(gamma, T, n)
     a = solve(FracProblem.from_rhs(gamma, f_expr, u0, T), mesh)
     b = solve(FracProblem.from_rhs(gamma, lifted, u0, T), mesh)

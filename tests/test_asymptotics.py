@@ -382,3 +382,31 @@ class TestLongTimeFits:
         fit = fit_power(path, window=(100.0, 1000.0))
         want = -0.5 / p
         assert abs(fit.exponent - want) <= tol * abs(want)
+
+
+class TestGrowthConstant:
+    """u(T) / (a T^{gamma/(1-p)}) -> 1 for D^gamma u = A u^p, A > 0, 0 < p < 1.
+
+    a is the subsolution amplitude; the path lies above the subsolution
+    (comparison principle), so the ratio falls to 1 from above.
+    """
+
+    @pytest.mark.parametrize(
+        "gamma,A,p,u0,tol",
+        [
+            (0.5, 1.0, 0.5, 1.0, 1e-3),
+            (0.3, 1.0, 0.5, 1.0, 5e-3),
+            (0.5, 2.0, 0.25, 1.0, 1e-3),
+            (0.8, 1.0, 0.5, 2.0, 1e-3),
+        ],
+    )
+    def test_ratio_to_the_subsolution_ramp_tends_to_one(self, gamma, A, p, u0, tol):
+        a, _t0 = subsolution_params(A, p, gamma, u0)
+        ratios = []
+        for T in (1e3, 1e5):
+            prob = FracProblem.power_law(gamma, A, p, u0, T)
+            path = solve(prob, Mesh.geometric(T, 16384, 1e-3))
+            ratios.append(path.values[-1] / (a * T ** (gamma / (1.0 - p))))
+        near, far = ratios
+        assert 1.0 < far < near
+        assert far - 1.0 < tol

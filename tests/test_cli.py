@@ -177,6 +177,14 @@ class TestSolveCommand:
         assert out == ""
         assert "numerical failure" in err and "log" in err
 
+    def test_rhs_failing_on_the_first_step_exits_3(self, cli):
+        # evaluable at t = 0 but not at the first node
+        rc, out, err = cli("solve", "--gamma", "0.5", "--rhs", "log(1e-12 - t)",
+                           "--u0", "1", "--n", "8")
+        assert rc == 3
+        assert out == ""
+        assert "right-hand side failed on the first step" in err
+
     def test_blowup_truncation_is_informative(self, cli):
         rc, out, _ = cli("solve", "--gamma", "0.5", "--rhs", "u^2", "--u0", "1",
                          "--n", "64", "--mesh", "uniform", "--out", "b.csv")
@@ -260,6 +268,97 @@ class TestConfigHandling:
         rc, out2, _ = cli("--config", "nowhere.json", "--config=eq.json")
         assert rc == 0 and out2 == out
 
+    @pytest.mark.parametrize("cfg", [{"gamma": 0.5}, {"subcommand": ["solve"]}])
+    def test_config_first_names_no_subcommand(self, cli, tmp_path, cfg):
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"config names no valid subcommand: {cfg.get('subcommand')!r}" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--gamma", "0.5", "--rhs", "-1*u", "--u0", "1", "--n", "64",
+             "--out", "u.csv"],
+            ["extinction", "--gamma", "0.5", "--A", "-1", "--p", "-1", "--u0", "1"],
+            ["verify", "stability", "--trials", "2", "--n", "32"],
+        ],
+        ids=["solve", "extinction", "verify"],
+    )
+    def test_config_may_stand_before_the_subcommand(self, cli, tmp_path, args):
+        rc, out, _ = cli(*args)
+        (tmp_path / "R.json").write_text(out)
+        sub = args[0]
+        after = cli(sub, "--config", "R.json")
+        files_after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        before = cli("--config", "R.json", sub)
+        assert rc == after[0] == 0
+        assert before == after
+        # argparse's abbreviation reads the same, on either side
+        assert cli(sub, "--conf", "R.json") == cli("--conf", "R.json", sub) == after
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files_after
+        # a config-first call naming another subcommand is a mismatch
+        other = "ml" if sub != "ml" else "solve"
+        rc, out, err = cli("--config", "R.json", other)
+        assert rc == 2
+        assert out == ""
+        assert f'config subcommand "{sub}" does not match "{other}"' in err
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [
+            ({"subcommand": "ml", "alpha": True, "z": -1}, "alpha"),
+            ({"subcommand": "verify", "mode": "comparison", "trials": 2, "n": True}, "n"),
+            ({"subcommand": "solve", "gamma": 0.5, "rhs": "0", "u0": False}, "u0"),
+        ],
+        ids=["float", "int", "u0"],
+    )
+    def test_bool_for_a_number_is_usage_error(self, cli, tmp_path, cfg, key):
+        # int() and float() would read true as 1
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"bad value for --{key}: {cfg[key]!r}" in err
+
+    @pytest.mark.parametrize("key,val", [("trials", 2.7), ("n", 64.5), ("seed", 1e400)])
+    def test_fraction_for_an_integer_is_usage_error(self, cli, tmp_path, key, val):
+        # int() would cut 2.7 to 2
+        cfg = {"subcommand": "verify", "mode": "comparison", "trials": 2, "n": 64, key: val}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"bad value for --{key}: {val!r}" in err
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [
+            ({"subcommand": "ml", "alpha": 1, "z": "-1"}, "z"),
+            ({"subcommand": "verify", "mode": "comparison", "trials": "2"}, "trials"),
+            ({"subcommand": "solve", "gamma": 0.5, "rhs": 0, "u0": 1}, "rhs"),
+            ({"subcommand": "solve", "gamma": 0.5, "rhs": "0", "u0": 1, "out": {"a": 1}}, "out"),
+            ({"subcommand": "solve", "gamma": [0.5], "rhs": "0", "u0": 1}, "gamma"),
+        ],
+        ids=["str-for-float", "str-for-int", "int-for-str", "object-for-str", "list"],
+    )
+    def test_value_of_another_type_is_usage_error(self, cli, tmp_path, cfg, key):
+        # float() would read "-1" as a number, str() would name a file after {"a": 1}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"bad value for --{key}: {cfg[key]!r}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_whole_numbers_keep_replaying(self, cli, tmp_path):
+        # an int for a float setting, and an integral float for an int one
+        base = ["solve", "--gamma", "0.5", "--rhs", "-1*u", "--u0", "1", "--n", "16"]
+        cfg = {"subcommand": "solve", "gamma": 0.5, "rhs": "-1*u", "u0": 1, "T": 1, "n": 16.0}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert cli("--config", "c.json") == cli(*base)
+
     def test_non_object_config(self, cli, tmp_path):
         (tmp_path / "list.json").write_text("[1, 2]")
         rc, _, err = cli("solve", "--config", "list.json")
@@ -325,6 +424,13 @@ class TestTransformCommands:
     def test_rejects_missing_input(self, cli):
         rc, _, err = cli("jint", "--gamma", "0.5", "--in", "void.csv")
         assert rc == 2
+
+    def test_rejects_header_only_csv(self, cli, tmp_path):
+        (tmp_path / "head.csv").write_text("t,u\n")
+        rc, out, err = cli("caputo", "--gamma", "0.5", "--in", "head.csv")
+        assert rc == 2
+        assert out == ""
+        assert "--in holds no samples" in err
 
     def test_rejects_nonnumeric_cell(self, cli, tmp_path):
         (tmp_path / "junk.csv").write_text("t,u\n0,one\n")
@@ -419,6 +525,14 @@ class TestAsymptCommand:
         assert rc == 0
         assert json.loads(out)["theory_exponent"] == -0.5
 
+    def test_rhs_without_a_power_law_has_no_theory(self, cli):
+        rc, out, _ = cli("asympt", "--gamma", "0.5", "--rhs", "1 + 0*u", "--u0", "1",
+                         "--T", "100", "--n", "512")
+        assert rc == 0
+        rep = json.loads(out)
+        assert rep["theory_exponent"] is None
+        assert rep["theory_constant"] is None
+
     def test_needs_exactly_one_problem_form(self, cli):
         rc, _, err = cli("asympt", "--gamma", "0.5", "--u0", "1", "--rhs", "u",
                          "--A", "1", "--p", "2")
@@ -464,6 +578,7 @@ class TestVerifyCommand:
             assert lines[flag].endswith("read by resolvent")
         for flag in ("--n", "--out"):
             assert lines[flag].endswith("read by comparison, resolvent, stability")
+        assert "--config" in lines  # read before the subcommand, still listed
 
     def test_resolvent_passes(self, cli):
         rc, out, _ = cli("verify", "resolvent", "--n", "1024")

@@ -4,8 +4,9 @@ Each `demos/*.py` runs in a subprocess against the package under test
 and must exit 0; together they take about 10 s and drive the solver,
 both adaptive marches and the verification checks end to end.  The
 documented shell session `demos/cli_session.sh` runs under `sh` with a
-`fracode` command on PATH, and its `--config` replays of `solve`,
-`extinction` and `verify stability` must match.
+`fracode` command on PATH, and its `--config` replays of `solve`
+(with and without the subcommand named after the config), `extinction`
+and `verify stability` must match.
 """
 
 import os
@@ -57,6 +58,7 @@ def test_cli_session_runs_and_replays(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
     assert "replay matches" in lines
+    assert "config-first replay matches" in lines
     assert "extinction replay matches" in lines
     assert "stability replay matches" in lines
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracode import expressions, fracops, solver, verify
-from fracode.expressions import compile_expr, parse
+from fracode.expressions import EvalError, compile_expr, parse
 from fracode.fracops import Mesh, SampledFn, default_grading
 from fracode.solver import FracProblem, solve
 from fracode.specfun import MLQuery, ResolventQuery, _ml, gamma_fn, mittag_leffler, resolvent
@@ -124,6 +124,13 @@ class TestCheckSubSuperSolution:
     def test_rejects_unevaluable_forcing(self):
         with pytest.raises(ValueError, match="nowhere evaluable"):
             check_subsupersolution("-1*u", "log(-1 - t^2)", 0.5, 1.0)
+
+    def test_failure_offset_points_into_the_forcing(self):
+        # u^0.5 does not evaluate at u0 = -1; the lifted rhs f + delta
+        # keeps delta's own offsets, so the error names its '^'
+        with pytest.raises(EvalError) as info:
+            check_subsupersolution("-1*u", "u^0.5", 0.5, -1.0, n=16)
+        assert info.value.offset == "u^0.5".index("^")
 
 
 class TestStabilityExperiment:
