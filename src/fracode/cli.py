@@ -274,13 +274,16 @@ def _of_type(typ: type, val) -> bool:
 
     An int does for a float setting and an integral float for an int
     one, so every echo replays; but int() and float() would read true
-    as 1 and cut 2.7 to 2, and str() would name a file after any value.
+    as 1 and cut 2.7 to 2, str() would name a file after any value, and
+    float() overflows on an int past the largest double.
     """
     if typ is str:
         return isinstance(val, str)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         return False
-    return typ is float or isinstance(val, int) or val.is_integer()
+    if isinstance(val, int):
+        return typ is int or abs(val) <= sys.float_info.max
+    return typ is float or val.is_integer()
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -237,22 +237,24 @@ def _corrector_tip(gamma: float, inv_g: float, cells, tip, f_tip):
 
 # A march over a known mesh of at least _SOE_MIN_NODES nodes serves node
 # _SOE_START on from exponential modes; shorter meshes, and the start,
-# stay direct.  On a 2-vCPU x86_64 machine the modes mostly pay below
-# 2,048 nodes already.  With this threshold set to 1,024 (gamma 0.5,
-# default grading, min of 25 runs), `frac_integral` took 5.2 ms instead
-# of 5.5 at 1,024 nodes and 7.5 instead of 12.8 at 1,536; `solve` of
-# D^0.5 u = -u 12.2 instead of 13.4 and 18.1 instead of 24.9; but
-# `caputo_l1` 4.9 instead of 4.4 at 1,024, and 8.1 instead of 9.7 at
-# 1,536.  At 2,048 they save about 35 % of `solve`,
-# and about 50 % of `frac_integral` and 45 % of `caputo_l1`, which take
-# the far rows a block at a time.  The threshold stays at 2,048 so that
+# stay direct.  On a 2-vCPU x86_64 machine the modes pay from 1,024
+# nodes on.  With this threshold set to 1,024 (gamma 0.5, default
+# grading, minimum of 25 runs, two rounds), far against direct at 1,025,
+# 1,537 and 2,049 nodes: `solve` of D^0.5 u = -u 9.2, 13.0 and 16.5 ms
+# against 11.0, 20.0 and 31.4; `caputo_l1` 3.5, 4.8 and 6.2 against
+# 4.1, 8.9 and 15.6; `frac_integral` 3.9, 5.5 and 6.9 against 5.4, 11.5
+# and 20.0.  The threshold stays at 2,048 so that
 # every march below it (the corpus's n = 256, `verify resolvent --n
 # 1024`) keeps the direct path's bits: at 1,024, `verify resolvent
 # --n 1024`'s residual moves in its fifth digit (ROADMAP)
 _SOE_MIN_NODES = 2048
 _SOE_START = 512
 _SOE_BLOCK = 64  # mesh rows formed at once
-_SOE_CUT = 45.0  # exp(-45) ~ 3e-20: modes with s delta >= 45 are dropped
+# exp(-45) ~ 3e-20, negligible beside 1: modes with s delta >= 45 are
+# dropped, and every far-mode decay exponent is floored at -45 (`_decay`,
+# `_soe_rows`), which keeps the decays and their products out of the
+# subnormal doubles that x86 multiplies many times slower
+_SOE_CUT = 45.0
 
 
 def _soe(gamma: float, delta: float, T: float):
@@ -281,43 +283,39 @@ def _soe(gamma: float, delta: float, T: float):
     return s[keep], w[keep] / gamma_fn(b)
 
 
-# Taylor coefficients of A/h and B/h below z = 0.05, where their closed
-# forms cancel: sum (-1)^m (m+1) z^m / (m+2)! and sum (-z)^m / (m+2)!
-_HAT_A = np.array([(-1) ** m * (m + 1) / math.factorial(m + 2) for m in range(10)])[::-1]
-_HAT_B = np.array([(-1) ** m / math.factorial(m + 2) for m in range(10)])[::-1]
+def _decay(z: np.ndarray) -> np.ndarray:
+    # exp(z) in place, for exponents z <= 0 floored at -_SOE_CUT
+    np.maximum(z, -_SOE_CUT, out=z)
+    return np.exp(z, out=z)
 
 
-def _soe_rows(s: np.ndarray, w: np.ndarray, h: np.ndarray):
-    # per cell of width h (rows) and mode (columns): the decay e = exp(-z),
-    # z = s h, and w times the integrals A, B of exp(-s (h - sigma)) over
-    # the cell against the hats 1 - sigma/h and sigma/h:
-    # A = h (1 - e - z e)/z^2 and B = h (z - 1 + e)/z^2
+def _soe_rows(s: np.ndarray, c: np.ndarray, h: np.ndarray):
+    # per cell of width h (rows) and mode (columns), z = s h: the decay
+    # e = exp(-z) and w times the integrals A, B of exp(-s (h - sigma))
+    # over the cell against the hats 1 - sigma/h and sigma/h.  With
+    # em = 1 - e and phi = 1 - em/z, w A = c (em - phi) and w B = c phi
+    # for c = w/s; below z = 0.05, where 1 - em/z cancels, phi is the
+    # series sum_{m<9} (-1)^m z^(m+1)/(m+2)!.  e and em take z floored at
+    # _SOE_CUT (em is 1 to the last bit there)
     z = np.multiply.outer(h, s)
-    e = np.exp(-z)
-    zc = np.maximum(z, 0.05)  # the closed forms, finite but unused below 0.05
-    em = -np.expm1(-zc)
-    a = zc * e
-    np.subtract(em, a, out=a)
-    b = np.subtract(zc, em, out=em)
-    zc *= zc
-    np.reciprocal(zc, out=zc)
-    a *= zc
-    b *= zc
+    e = np.maximum(-z, -_SOE_CUT)
+    em = np.expm1(e)
+    np.negative(em, out=em)
+    np.exp(e, out=e)
+    phi = np.divide(em, z)
+    np.subtract(1.0, phi, out=phi)
     small = z < 0.05
     zs = z[small]
-    pa = np.full_like(zs, _HAT_A[0])
-    pb = np.full_like(zs, _HAT_B[0])
-    for ca, cb in zip(_HAT_A[1:], _HAT_B[1:]):  # Horner, as np.polyval
-        pa *= zs
-        pa += ca
-        pb *= zs
-        pb += cb
-    a[small] = pa
-    b[small] = pb
-    hw = np.multiply.outer(h, w)
-    a *= hw
-    b *= hw
-    return e, a, b
+    ps = np.full_like(zs, 1.0 / math.factorial(10))
+    for m in range(7, -1, -1):  # Horner, as np.polyval
+        ps *= zs
+        ps += (-1) ** m / math.factorial(m + 2)
+    ps *= zs
+    phi[small] = ps
+    em -= phi
+    em *= c
+    phi *= c
+    return e, em, phi
 
 
 class _FarHistory:
@@ -328,8 +326,12 @@ class _FarHistory:
     horizon, so the integral over every cell before the tip cell is one
     vector H of mode values that each accepted cell updates in place:
     H <- e H + f_left w A + f_right w B (Jiang, Zhang, Zhang & Zhang,
-    Commun. Comput. Phys. 21, 2017).  `start` absorbs the cells ending at
-    nodes 1.._SOE_START-1, _SOE_BLOCK cells at a time (`_cross`).  A
+    Commun. Comput. Phys. 21, 2017), e = exp(-s h).  The modes hold
+    c = w/s, from which `_soe_rows` forms w A and w B with one expm1 of
+    the z = s h of e; every decay exponent is floored at -_SOE_CUT.
+    `start` absorbs the cells ending at nodes 1.._SOE_START-1,
+    _SOE_BLOCK cells at a time (`_cross`, where H and each cell decay
+    to the chunk's last node by one exp).  A
     march whose values come one node at a time (`solve`) then reads
     `far(n)`, the integral at t_n over the cells ending at nodes 1..n-1,
     for n >= _SOE_START, and absorbs the cell ending at node n with
@@ -349,12 +351,13 @@ class _FarHistory:
     def __init__(self, gamma: float, t: np.ndarray):
         self._t = t
         self._h = np.diff(t)
-        self.s, self.w = _soe(gamma, float(self._h[_SOE_START - 1 :].min()), float(t[-1]))
+        self.s, w = _soe(gamma, float(self._h[_SOE_START - 1 :].min()), float(t[-1]))
+        self.c = w / self.s
         self._lo = self._hi = 0  # nodes whose rows are held
 
     def _rows(self, lo: int, hi: int):
         # rows of the cells ending at nodes lo..hi-1
-        return _soe_rows(self.s, self.w, self._h[lo - 1 : hi - 1])
+        return _soe_rows(self.s, self.c, self._h[lo - 1 : hi - 1])
 
     def _row(self, n: int):
         if not self._lo <= n < self._hi:
@@ -363,14 +366,15 @@ class _FarHistory:
         i = n - self._lo
         return self._e[i], self._wa[i], self._wb[i]
 
-    def _cross(self, e, wa, wb, left: np.ndarray, right: np.ndarray):
-        # H moved over a chunk of cells with rows e, wa, wb and end values
-        # left, right: each cell decays to the chunk's last node by the
-        # products of the later e's
-        tail = np.ones_like(e)
-        tail[:-1] = np.cumprod(e[:0:-1], axis=0)[::-1]
-        self.H = tail[0] * e[0] * self.H + left @ (tail * wa)
-        self.H += right @ (tail * wb)
+    def _cross(self, lo: int, hi: int, left: np.ndarray, right: np.ndarray):
+        # H moved over the cells ending at nodes lo..hi-1, with end values
+        # left, right: H and each cell decay to t_{hi-1} by one exp of
+        # -s (t_{hi-1} - t_j), j = lo-1..hi-1 (row 0 is H's own decay)
+        _, wa, wb = self._rows(lo, hi)
+        t = self._t
+        tail = _decay(np.multiply.outer(t[lo - 1 : hi] - t[hi - 1], self.s))
+        self.H = tail[0] * self.H + left @ (tail[1:] * wa)
+        self.H += right @ (tail[1:] * wb)
 
     def start(self, left: np.ndarray, right: np.ndarray):
         # cells ending at nodes 1.._SOE_START-1; left[n-1], right[n-1] are
@@ -378,25 +382,21 @@ class _FarHistory:
         self.H = np.zeros(self.s.size)
         for lo in range(1, _SOE_START, _SOE_BLOCK):
             hi = min(lo + _SOE_BLOCK, _SOE_START)
-            self._cross(*self._rows(lo, hi), left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
+            self._cross(lo, hi, left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
 
     def blocks(self, left: np.ndarray, right: np.ndarray):
         # (lo, hi, far) for the rows _SOE_START.. of a march whose cell end
         # values are all known (as in `start`), _SOE_BLOCK rows at a time:
         # far[i] is the integral at t_{lo+i} over the cells ending at nodes
-        # 1..lo-1, H at t_{lo-1} decayed by exp(-s (t_{lo+i} - t_{lo-1})).
-        # The exponent is held at or above -700: numpy's exp takes a slow
-        # path where it underflows, and exp(-700) ~ 1e-304 moves no sum
+        # 1..lo-1, H at t_{lo-1} decayed by exp(-s (t_{lo+i} - t_{lo-1}))
         self.start(left, right)
         t = self._t
         end = t.size
         for lo in range(_SOE_START, end, _SOE_BLOCK):
             hi = min(lo + _SOE_BLOCK, end)
-            z = np.multiply.outer(t[lo - 1] - t[lo:hi], self.s)
-            np.maximum(z, -700.0, out=z)
-            yield lo, hi, np.exp(z, out=z) @ self.H
+            yield lo, hi, _decay(np.multiply.outer(t[lo - 1] - t[lo:hi], self.s)) @ self.H
             if hi < end:
-                self._cross(*self._rows(lo, hi), left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
+                self._cross(lo, hi, left[lo - 1 : hi - 1], right[lo - 1 : hi - 1])
 
     def far(self, n: int) -> float:
         # the row is held for the `absorb` of the cell ending at node n

@@ -335,6 +335,31 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "cfg,key",
         [
+            ({"subcommand": "ml", "alpha": 1, "z": 10**400}, "z"),
+            ({"subcommand": "solve", "gamma": 0.5, "rhs": "0", "u0": -(2**1024)}, "u0"),
+        ],
+        ids=["z", "u0"],
+    )
+    def test_int_past_the_largest_double_is_usage_error(self, cli, tmp_path, cfg, key):
+        # float() would raise OverflowError, a numerical failure (exit 3);
+        # the flag form --z 1e400 reads inf and exits 2 as well
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert rc == 2
+        assert out == ""
+        assert f"bad value for --{key}: {cfg[key]!r}" in err
+
+    def test_int_at_the_largest_double_still_reads(self, cli, tmp_path):
+        # the bound is the largest finite double itself, as an int:
+        # E_1(z) = exp(z) underflows to 0
+        cfg = {"subcommand": "ml", "alpha": 1, "z": -int(sys.float_info.max)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        rc, out, err = cli("--config", "c.json")
+        assert (rc, out.strip()) == (0, "0.0"), err
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [
             ({"subcommand": "ml", "alpha": 1, "z": "-1"}, "z"),
             ({"subcommand": "verify", "mode": "comparison", "trials": "2"}, "trials"),
             ({"subcommand": "solve", "gamma": 0.5, "rhs": 0, "u0": 1}, "rhs"),
