@@ -39,6 +39,7 @@ __all__ = [
     "EnvelopeParams",
     "fit_power",
     "blowup_constant_theory",
+    "growth_constant",
     "subsolution_params",
     "supersolution_params",
     "eval_envelope",
@@ -122,6 +123,16 @@ def blowup_constant_theory(A: float, p: float, gamma: float) -> float:
     return math.exp(log_c)
 
 
+def growth_constant(A: float, p: float, gamma: float) -> float:
+    """a of the growth law u ~ a t^q, q = gamma/(1-p), A > 0, p < 1.
+
+    a = (A*Gamma(q*p+1)/Gamma(q+1))^(1/(1-p)) balances D^gamma (a t^q)
+    = A (a t^q)^p; at p = 0, u = u0 + A t^gamma/Gamma(1+gamma) exactly.
+    """
+    q = gamma / (1.0 - p)
+    return (A * gamma_fn(q * p + 1.0) / gamma_fn(q + 1.0)) ** (1.0 / (1.0 - p))
+
+
 def _check_growth_domain(A: float, p: float, gamma: float, u0: float):
     if not A > 0.0:
         raise ValueError("growth envelopes need A > 0")
@@ -142,8 +153,7 @@ def subsolution_params(A: float, p: float, gamma: float, u0: float) -> tuple[flo
     and t0 = (u0/a)^((1-p)/gamma) makes the ramp continue u0.
     """
     _check_growth_domain(A, p, gamma, u0)
-    q = gamma / (1.0 - p)
-    a = (A * gamma_fn(q * p + 1.0) / gamma_fn(q + 1.0)) ** (1.0 / (1.0 - p))
+    a = growth_constant(A, p, gamma)
     t0 = (u0 / a) ** ((1.0 - p) / gamma)
     return a, t0
 

@@ -51,7 +51,7 @@ import tempfile
 import numpy as np
 
 from fracode import __version__
-from fracode.asymptotics import eval_envelope, fit_power, supersolution_params
+from fracode.asymptotics import eval_envelope, fit_power, growth_constant, supersolution_params
 from fracode.expressions import EvalError, ParseError
 from fracode.fracops import Mesh, SampledFn, caputo_l1, default_grading, frac_integral
 from fracode.solver import (
@@ -429,10 +429,7 @@ def _asympt_theory(prob: FracProblem) -> tuple[float | None, float | None]:
     if A < 0.0 and p > 0.0:
         return -g / p, None  # two-sided bounds, no single constant
     if A > 0.0 and p < 1.0:
-        from fracode.asymptotics import subsolution_params
-
-        a, _t0 = subsolution_params(A, p, g, prob.u0)
-        return g / (1.0 - p), a  # self-similar balance constant
+        return g / (1.0 - p), growth_constant(A, p, g)  # self-similar balance constant
     return None, None
 
 

@@ -17,14 +17,14 @@ x^(gamma+1) - y^(gamma+1) = x d0 + h P gives the first moment; the tip
 cell (y = 0) is one scalar power.  On a known mesh the kernel forms
 whole blocks of rows at once (`_moment_blocks`, at most _BLOCK_CELLS
 cells each): the operators take each block's rows as matrix-vector
-products, and `solve` reads each row once, in order, with the first
-moment's product x d0 formed once per block (`_block_rows`); the
-adaptive marches, whose next node is not known, make one call per
-step.  Inside a `_sharing_blocks` scope (one per corpus trial, whose
-two solves and integral run on one mesh) a mesh of fewer than
-_SOE_START nodes forms its blocks once, for every march over it.
-`frac_integral` and the solver's history take the Adams weights from
-one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
+products, and `solver.solve` walks the rows itself, once each, in
+order, with the first moment's product x d0 formed once per block; the
+adaptive marches (`solver._History`), whose next node is not known,
+make one call per step.  Inside a `_sharing_blocks` scope (one per
+corpus trial, whose two solves and integral run on one mesh) a mesh of
+fewer than _SOE_START nodes forms its blocks once, for every march
+over it.  `frac_integral` and the solver's marches take the Adams
+weights from one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
 at least _SOE_MIN_NODES nodes all three take the far cells from node
 _SOE_START on out of a sum of exponentials (`_soe`, `_FarHistory`),
 O(N K) instead of the direct O(N^2) sums: `solve` every cell behind
@@ -212,7 +212,8 @@ def _moment_blocks(gamma: float, t: np.ndarray, h: np.ndarray, lo: int, stop: in
 
 
 # The product-trapezoid (Adams corrector) weights, for one row of a march
-# (`solver._History.weights`) and for a block of rows (`frac_integral`)
+# (`solver._adams_row`, in `solve` and `_History.weights`) and for a block
+# of rows (`frac_integral`)
 # alike: on the cells behind the tip, f_j M0 + s_j M1 with s = df/h the
 # slope of f; on the tip cell, f_{n-1} tip/(gamma+1) + f_n tip/(gamma(gamma+1)).
 
@@ -480,20 +481,6 @@ def _known_blocks(gamma: float, t: np.ndarray, h: np.ndarray, left, right):
             del moments
 
 
-def _block_rows(blocks, t: np.ndarray):
-    # the rows of blocks over the nodes t in order: (x d0, d0, P, tip) for
-    # row n, x = t_n - t[: n - 1], with d0, P and tip what the one-row call
-    # _trapezoid_moments(gamma, t[n], t[: n + 1]) gives, bit for bit; x d0
-    # is formed once per block, and a block is released before the next
-    # is formed
-    for lo, hi, d0, P, tips in blocks:
-        xd0 = t[lo:hi, None] - t[: hi - 2]
-        xd0 *= d0
-        for i, n in enumerate(range(lo, hi)):
-            yield xd0[i, : n - 1], d0[i, : n - 1], P[i, : n - 1], float(tips[i])
-        del xd0, d0, P, tips
-
-
 def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     """Riemann-Liouville integral (J^gamma g)(t) on g's own mesh.
 
@@ -502,8 +489,8 @@ def frac_integral(gamma: float, g: SampledFn) -> SampledFn:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"frac_integral needs gamma in (0, 1), got {gamma!r}")
-    # the Adams corrector of solver._History with u0 = 0 and f = g, a
-    # block of rows at a time
+    # the Adams corrector of the solver's marches with u0 = 0 and f = g,
+    # a block of rows at a time
     t = g.mesh.nodes
     v = g.values
     h = np.diff(t)

@@ -12,18 +12,18 @@ f = a(t) u + b(t) (`FracProblem` finds the form once: a power law with
 p = 1 or 0, or a tree `expressions.match_affine` accepts), `solve`'s
 corrector equation x = hist + w (a x + b) has the root
 (hist + w b)/(1 - w a), which `_corrector` takes with one evaluation
-of f wherever 1 - w a > 0 and the root is admissible.  `solve` and both
-adaptive marches share one Volterra history, `_History`: preallocated
-numpy buffers that grow by doubling, handed to the exact kernel
-moments of fracops as slices; the Adams weights come from
-`fracops._corrector_cells` and `fracops._corrector_tip`, which
-`fracops.frac_integral` (u0 = 0) applies to blocks of rows.  On a
-known mesh (`solve`) each moment row is read once, in order, from
-blocks formed ahead, and on one of at least `fracops._SOE_MIN_NODES`
-nodes the cells behind the tip come from sum-of-exponentials modes
-from node `fracops._SOE_START` on, O(N K) per march with K ~ 100-200
-modes (`fracops._known_mesh` makes the split); the adaptive marches,
-whose steps are not known ahead, form one row per step, and they and
+of f wherever 1 - w a > 0 and the root is admissible.  The Adams
+weights of one row come from `_adams_row`, on `fracops._corrector_cells`
+and `fracops._corrector_tip`, which `fracops.frac_integral` (u0 = 0)
+applies to blocks of rows.  `solve` knows its mesh ahead: it walks the
+rows `fracops._known_mesh` lays out, each moment row read once, in
+order, from blocks formed ahead, and on a mesh of at least
+`fracops._SOE_MIN_NODES` nodes the cells behind the tip come from
+sum-of-exponentials modes from node `fracops._SOE_START` on, O(N K) per
+march with K ~ 100-200 modes.  The adaptive marches, whose steps are
+not known ahead, keep their Volterra history in `_History`:
+preallocated numpy buffers that grow by doubling, handed to the exact
+kernel moments of fracops as slices, one row per step; they and
 shorter meshes keep the direct O(N^2) sums.  Every path sums in a fixed
 order, so a rerun is bitwise identical; the paths agree with each other
 to rounding, not bit for bit.
@@ -61,7 +61,6 @@ from fracode.expressions import (
 from fracode.fracops import (
     Mesh,
     SampledFn,
-    _block_rows,
     _corrector_cells,
     _corrector_tip,
     _known_mesh,
@@ -350,46 +349,36 @@ def _bisect(phi, lo, flo, hi):
     return 0.5 * (lo + hi), evals
 
 
+def _adams_row(gamma, inv_g, u0, xd0, d0, P, tip, f, s, df, k):
+    # (predictor, corrector history, corrector weight) of the row with tip
+    # cell [t_k, t_{k+1}] from its kernel moments (xd0 = x d0) and f, its
+    # slopes s and increments df; the predictor shares f_j M0 with the corrector
+    fk = float(f[k])
+    fm0, cells = _corrector_cells(gamma, xd0, d0, P, f[:k], s[:k], df[:k])
+    pred = u0 + inv_g * (float(fm0) + fk * tip) / gamma
+    hist, w = _corrector_tip(gamma, inv_g, float(cells), tip, fk)
+    return pred, u0 + hist, w
+
+
 _HISTORY_START = 1024  # buffer length of an adaptive march; doubles on demand
 
 
 class _History:
-    """The Volterra history of one march: nodes t, states u, slopes f(t, u).
+    """The Volterra history of an adaptive march: nodes t, states u, slopes f(t, u).
 
     numpy buffers hold the accepted nodes plus one trial slot and double
     when full.  `weights(t_next)` writes a trial node into that slot and
-    returns the Adams coefficients for it; `accept(u, f)` keeps the node
-    of the last `weights` call, up to `cap` nodes, caching the increment
-    df and slope df/h of f on the cell it closes.  `solve` marches a
-    fixed mesh the same way, node by node, with its `nodes` given ahead:
-    the mesh size is the cap, each `weights` call reads the next moment
-    row and its x d0 from blocks formed ahead (`fracops._block_rows`:
-    the same bits as one call per row, x d0 formed once per block; inside
-    `fracops._sharing_blocks`, as in a corpus trial, the marches over one
-    short mesh read one set of blocks), and a long mesh takes the far
-    history from `fracops._FarHistory` from the split
-    `fracops._known_mesh` sets on (one dot per `weights`, one update of
-    the modes per `accept`); the
-    predictor then takes the corrector's far part, and the held rows are
-    dropped.  Otherwise the kernel sees slices of the buffers, never
-    rebuilt arrays, and the sums are the direct O(N^2) ones in a fixed
-    order.
-    `fracops.frac_integral` takes the same weights (u0 = 0) over blocks
-    of rows and marches no `_History`.
+    returns its Adams coefficients from one kernel row over slices of the
+    buffers, summed directly in a fixed order; `accept(u, f)` keeps the
+    node of the last `weights` call, up to `cap` nodes, caching the
+    increment df and slope df/h of f on the cell it closes.
     """
 
-    def __init__(
-        self, gamma: float, u0: float, f0: float, cap: int = 200_000, nodes: np.ndarray | None = None
-    ):
+    def __init__(self, gamma: float, u0: float, f0: float, cap: int = 200_000):
         self.gamma = gamma
         self.u0 = u0
         self.inv_g = 1.0 / gamma_fn(gamma)
-        self.cap = cap if nodes is None else nodes.size
-        self._far = self._rows = None
-        self._stop = math.inf  # the first node served by the far modes
-        if nodes is not None:
-            blocks, self._far, self._stop = _known_mesh(gamma, nodes, np.diff(nodes))
-            self._rows = _block_rows(blocks, nodes)
+        self.cap = cap
         self._t = np.zeros(_HISTORY_START)
         self._h = np.empty(_HISTORY_START)
         self._u = np.empty(_HISTORY_START)
@@ -423,28 +412,11 @@ class _History:
             self._grow()
         self._t[n] = t_next
         self._h[k] = t_next - self._t[k]
-        g = self.gamma
-        fk = float(self._f[k])
-        if n >= self._stop:
-            if n == self._stop:
-                self._rows = None  # the direct rows are done
-                self._far.start(self._f[:k], self._f[1:n])
-            far = self._far.far(n)
-            tip = float(self._h[k]) ** g
-            pred = self.u0 + self.inv_g * (far + fk * tip / g)
-            hist, w = _corrector_tip(g, self.inv_g, far, tip, fk)
-            return pred, self.u0 + hist, w
-        if self._rows is not None:
-            xd0, d0, P, tip = next(self._rows)
-        else:
-            d0, P, tip = _trapezoid_moments(g, t_next, self._t[: n + 1], self._h[:n])
-            xd0 = t_next - self._t[:k]
-            xd0 *= d0
-        # the predictor shares f_j M0 with the corrector
-        fm0, cells = _corrector_cells(g, xd0, d0, P, self._f[:k], self._s[:k], self._df[:k])
-        pred = self.u0 + self.inv_g * (float(fm0) + fk * tip) / g
-        hist, w = _corrector_tip(g, self.inv_g, float(cells), tip, fk)
-        return pred, self.u0 + hist, w
+        d0, P, tip = _trapezoid_moments(self.gamma, t_next, self._t[: n + 1], self._h[:n])
+        xd0 = (t_next - self._t[:k]) * d0
+        return _adams_row(
+            self.gamma, self.inv_g, self.u0, xd0, d0, P, tip, self._f, self._s, self._df, k
+        )
 
     def accept(self, u_next: float, f_next: float):
         if self.n >= self.cap:
@@ -453,8 +425,6 @@ class _History:
         self._f[self.n] = f_next
         self._df[self.n - 1] = df = f_next - self._f[self.n - 1]
         self._s[self.n - 1] = df / self._h[self.n - 1]
-        if self.n >= self._stop:
-            self._far.absorb(self._f[self.n - 1], f_next)
         self.n += 1
 
     def path(self, status: PathStatus, iters: int) -> SolutionPath:
@@ -471,46 +441,80 @@ def solve(prob: FracProblem, mesh: Mesh, opts: SolverOptions | None = None) -> S
     """
     opts = opts or SolverOptions()
     t = mesh.nodes
-    # un-startable problems raise here
-    hist = _History(prob.gamma, prob.u0, prob.f(t[0], prob.u0), nodes=t)
+    g, u0 = prob.gamma, prob.u0
+    inv_g = 1.0 / gamma_fn(g)
+    h = np.diff(t)
+    u, f = np.empty(t.size), np.empty(t.size)
+    df, s = np.empty(h.size), np.empty(h.size)  # increments and slopes of f
+    u[0] = u0
+    f[0] = prob.f(t[0], u0)  # un-startable problems raise here
+    blocks, far, stop = _known_mesh(g, t, h)
     iters = 0
-
-    def truncated(status: PathStatus) -> SolutionPath:
-        if hist.n < 2:
-            raise EvalError("right-hand side failed on the first step", 0)
-        return hist.path(status, iters)
-
-    def escape_status() -> PathStatus:
-        # for a superlinear power law the corrector loses its root
-        # exactly when the singularity crowds the cell, so any escape
-        # after growth reads as blow-up; anything else is an
-        # evaluation failure
-        grew = abs(hist.u[-1]) > 2.0 * abs(prob.u0) + 1.0
-        if prob.is_power_law and prob.A > 0 and prob.p > 1 and grew:
-            return PathStatus.BLOWUP_SUSPECTED
-        return PathStatus.EVALUATION_FAILURE
-
     # positive half-line restriction when the rhs cannot take u <= 0, or
     # when the comparison principle keeps a decaying power law positive
     lo_limit = (
         0.0
         if prob.is_power_law
-        and (prob.p != int(prob.p) or prob.p < 0 or (prob.A < 0 < prob.p and prob.u0 > 0))
+        and (prob.p != int(prob.p) or prob.p < 0 or (prob.A < 0 < prob.p and u0 > 0))
         else None
     )
 
-    for n in range(1, t.size):
-        pred, hval, w = hist.weights(t[n])
+    def rows():
+        # (n, predictor, corrector history, weight) for rows 1.., each
+        # formed once node n - 1 is accepted: the direct rows block by
+        # block, x d0 formed once per block, then the far modes
+        for lo, hi, d0, P, tips in blocks:
+            xd0 = t[lo:hi, None] - t[: hi - 2]
+            xd0 *= d0
+            for i, k in enumerate(range(lo - 1, hi - 1)):
+                row = xd0[i, :k], d0[i, :k], P[i, :k], float(tips[i])
+                yield k + 1, *_adams_row(g, inv_g, u0, *row, f, s, df, k)
+            del xd0, d0, P, tips, row  # before the next block is formed
+        if far is None:
+            return
+        far.start(f[: stop - 1], f[1:stop])
+        for n in range(stop, t.size):
+            k = n - 1
+            cells = far.far(n)
+            tip = float(h[k]) ** g
+            fk = float(f[k])
+            hist, w = _corrector_tip(g, inv_g, cells, tip, fk)
+            yield n, u0 + inv_g * (cells + fk * tip / g), u0 + hist, w
+            far.absorb(f[k], f[n])
+
+    def truncated(n: int, status: PathStatus, x: float = 0.0) -> SolutionPath:
+        # the path of the n accepted nodes; a power law, finite above
+        # lo_limit, fails its first step only by losing the corrector's root
+        if n < 2 and math.isnan(x) and lo_limit is not None:
+            why = f"the corrector equation has no root above {lo_limit:g} at t_1 = {t[1]:g}"
+            raise EvalError(why + "; refine the mesh near t = 0", 0)
+        if n < 2:
+            raise EvalError("right-hand side failed on the first step", 0)
+        return SolutionPath(Mesh(t[:n]), u[:n], iters, status)
+
+    def escape_status(last: float) -> PathStatus:
+        # for a superlinear power law the corrector loses its root
+        # exactly when the singularity crowds the cell, so any escape
+        # after growth reads as blow-up; anything else is an
+        # evaluation failure
+        grew = abs(last) > 2.0 * abs(u0) + 1.0
+        if prob.is_power_law and prob.A > 0 and prob.p > 1 and grew:
+            return PathStatus.BLOWUP_SUSPECTED
+        return PathStatus.EVALUATION_FAILURE
+
+    for n, pred, hval, w in rows():
         x, fx, used = _corrector(prob.f, t[n], hval, w, pred, lo_limit, affine=prob._affine)
         iters += used
         if not math.isfinite(x) or abs(x) > 1e300:
-            return truncated(escape_status())
+            return truncated(n, escape_status(u[n - 1]), x)
         if opts.positivity_guard and x <= 0.0:
-            return truncated(PathStatus.EXTINCTION_SUSPECTED)
-        hist.accept(x, fx)  # a nan fx keeps the state; the march ends here
-        if math.isnan(fx):
-            return truncated(escape_status())
-    return SolutionPath(mesh, hist.u, iters, PathStatus.COMPLETED)
+            return truncated(n, PathStatus.EXTINCTION_SUSPECTED)
+        u[n], f[n] = x, fx
+        df[n - 1] = d = fx - f[n - 1]
+        s[n - 1] = d / h[n - 1]
+        if math.isnan(fx):  # the state is kept; the march ends here
+            return truncated(n + 1, escape_status(x))
+    return SolutionPath(mesh, u, iters, PathStatus.COMPLETED)
 
 
 # --- adaptive power-law marches ---------------------------------------

@@ -36,6 +36,7 @@ from fracode.asymptotics import (
     blowup_constant_theory,
     eval_envelope,
     fit_power,
+    growth_constant,
     subsolution_params,
     supersolution_params,
 )
@@ -183,6 +184,20 @@ class TestSubsolutionParams:
                     (1.0, 0.5, 1.5, 1.0), (1.0, 0.5, 0.5, 0.0)]:
             with pytest.raises(ValueError):
                 subsolution_params(*bad)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_envelopes_reject_p_at_most_zero(self, p):
+        # the growth constant exists there (growth_constant); the
+        # envelope construction does not
+        for build in (subsolution_params, supersolution_params):
+            with pytest.raises(ValueError, match="covers p in"):
+                build(1.0, p, 0.5, 1.0)
+
+    def test_amplitude_is_the_growth_constant(self):
+        a, _ = subsolution_params(1.0, 0.5, 0.5, 1.0)
+        assert a == growth_constant(1.0, 0.5, 0.5)
+        # p = 0: u = u0 + A t^gamma/Gamma(1+gamma)
+        assert growth_constant(2.0, 0.0, 0.5) == pytest.approx(2.0 / math.gamma(1.5), rel=1e-15)
 
 
 class TestEnvelopeConstants:

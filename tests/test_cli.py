@@ -185,6 +185,17 @@ class TestSolveCommand:
         assert out == ""
         assert "right-hand side failed on the first step" in err
 
+    def test_no_root_above_the_limit_on_the_first_step_exits_3(self, cli):
+        # A u^p evaluates everywhere above lo_limit = 0; on this coarse
+        # uniform mesh the first corrector equation's only root is -0.107
+        rc, out, err = cli("solve", "--gamma", "0.5", "--rhs", "-60*u", "--u0", "1",
+                           "--mesh", "uniform", "--n", "256")
+        assert rc == 3
+        assert out == ""
+        assert "no root above 0 at t_1 = 0.00390625" in err
+        assert "refine the mesh near t = 0" in err
+        assert "right-hand side failed" not in err
+
     def test_blowup_truncation_is_informative(self, cli):
         rc, out, _ = cli("solve", "--gamma", "0.5", "--rhs", "u^2", "--u0", "1",
                          "--n", "64", "--mesh", "uniform", "--out", "b.csv")
@@ -531,6 +542,21 @@ class TestAsymptCommand:
         assert rep["theory_exponent"] == pytest.approx(1.0)
         assert rep["theory_constant"] == pytest.approx(PI_OVER_4, rel=1e-10)
         assert 0.9 * PI_OVER_4 < rep["constant"] < 1.4 * PI_OVER_4
+
+    @pytest.mark.parametrize(
+        "p,exponent,constant",
+        # at p = 0, u = u0 + A t^gamma/Gamma(1+gamma): the constant 1/Gamma(1.5)
+        [("0", 0.5, 1.1283791670955126), ("-1", 0.25, 1.162736634038237)],
+    )
+    def test_growth_at_p_at_most_zero(self, cli, p, exponent, constant):
+        rc, out, err = cli(
+            "asympt", "--gamma", "0.5", "--A", "1", "--p", p, "--u0", "1",
+            "--T", "100", "--n", "512", "--mesh", "geometric", "--t-start", "1e-3",
+        )
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert rep["theory_exponent"] == exponent
+        assert rep["theory_constant"] == constant
 
     def test_linear_decay_far_field(self, cli):
         rc, out, _ = cli(

@@ -522,31 +522,6 @@ class TestMomentBlocks:
         thirds = [(lo, min(lo + 3, t.size)) for lo in range(1, t.size, 3)]
         assert self._check_rows(gamma, t, thirds) == list(range(1, t.size))
 
-    @pytest.mark.parametrize("gamma", [0.3, 0.77])
-    @pytest.mark.parametrize("kind", ["uniform", "graded", "geometric"])
-    def test_block_rows_carry_x_d0(self, gamma, kind):
-        # x d0 is formed once per block; each row's slice is the one-row
-        # product (t_n - t[: n - 1]) d0, bit for bit, next to the one-row
-        # call's d0, P and tip
-        mesh = {
-            "uniform": Mesh.uniform(1.0, 400),
-            "graded": Mesh.graded(1.0, 400, default_grading(gamma)),
-            "geometric": Mesh.geometric(50.0, 400, 1e-6),
-        }[kind]
-        t = mesh.nodes
-        h = np.diff(t)
-        blocks = list(fracops._moment_blocks(gamma, t, h, 1, t.size))
-        assert len(blocks) > 1
-        seen = []
-        for n, (xd0, d0, P, tip) in enumerate(fracops._block_rows(blocks, t), start=1):
-            one = _trapezoid_moments(gamma, float(t[n]), t[: n + 1], h[:n])
-            assert np.array_equal(d0, one[0]) and np.array_equal(P, one[1]), n
-            assert tip == one[2], n
-            assert xd0.shape == (n - 1,)
-            assert np.array_equal(xd0, (t[n] - t[: n - 1]) * d0), n
-            seen.append(n)
-        assert seen == list(range(1, t.size))
-
     def test_shared_blocks_are_keyed_on_gamma_and_nodes(self):
         # inside a share, operators of several orders on two meshes of one
         # size give what they give one call at a time, and the held blocks

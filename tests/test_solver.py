@@ -302,6 +302,23 @@ class TestSolveProperties:
         assert rel.max() < 0.10
         assert rel[-1] < 0.01
 
+    def test_coarse_uniform_mesh_breaks_discrete_comparison(self):
+        # E_0.5(-60 sqrt(t)) > 0, but with c = h^gamma/Gamma(gamma) the
+        # first step is u(t_1) = (1 - 60c/(gamma+1)) / (1 + 60c/(gamma(gamma+1)))
+        # < 0 on 256 uniform steps; the graded mesh keeps every value positive
+        gamma = 0.5
+        prob = FracProblem.from_rhs(gamma, "(-60*u) + (0)", 1.0, 1.0)
+        assert not prob.is_power_law  # no lo_limit: the march takes the negative root
+        c = (1.0 / 256.0) ** gamma / math.gamma(gamma)
+        first = (1.0 - 60.0 * c / (gamma + 1.0)) / (1.0 + 60.0 * c / (gamma * (gamma + 1.0)))
+        assert first == pytest.approx(-0.10742725828943178, rel=1e-15)
+        uniform = solve(prob, Mesh.uniform(1.0, 256))
+        assert uniform.status is PathStatus.COMPLETED
+        assert uniform.values[1] == pytest.approx(first, rel=1e-15)
+        graded = solve(prob, Mesh.graded(1.0, 256, 4.0)).values
+        assert np.all(graded > 0.0)
+        assert graded.min() == pytest.approx(0.0094017, rel=1e-4)
+
     def test_values_are_write_protected(self):
         prob = FracProblem.from_rhs(0.5, "0", 1.0, 1.0)
         path = solve(prob, Mesh.uniform(1.0, 8))
@@ -903,7 +920,7 @@ class TestHistoryEngine:
         "mesh", [Mesh.graded(1.0, 64, 4.0), Mesh.geometric(10.0, 64, 1e-5), Mesh.uniform(1.0, 1)]
     )
     def test_mesh_march_matches_list_oracle(self, mesh, monkeypatch):
-        # the node-by-node march `solve` makes, with buffers that grow
+        # a march over a fixed mesh, node by node, with buffers that grow
         monkeypatch.setattr(solver, "_HISTORY_START", 8)
         gamma, u0, f0 = 0.37, 2.0, 0.25
         hist = _History(gamma, u0, f0, cap=mesh.nodes.size)
@@ -915,6 +932,31 @@ class TestHistoryEngine:
             hist.accept(float(n), -float(n))
             fv.append(-float(n))
         assert np.array_equal(hist.t, mesh.nodes)
+
+    @pytest.mark.parametrize("rhs", ["-1*u", "min(max(sin(u*t) - u^2, -3), 3)"])
+    @pytest.mark.parametrize(
+        "mesh",
+        [Mesh.uniform(1.0, 400), Mesh.graded(1.0, 400, 4.0), Mesh.geometric(50.0, 400, 1e-6)],
+        ids=["uniform", "graded", "geometric"],
+    )
+    def test_solve_reads_the_one_row_weights(self, mesh, rhs):
+        # below fracops._SOE_MIN_NODES `solve` takes its rows from blocks
+        # formed ahead; its path is, bit for bit, the one-row march of
+        # `_History.weights` and `_corrector` over the same nodes
+        prob = FracProblem.from_rhs(0.5, rhs, 1.0, mesh.horizon)
+        assert mesh.nodes.size < fracops._SOE_MIN_NODES
+        lo_limit = 0.0 if prob.is_power_law else None  # -1*u: A < 0 < p, u0 > 0
+        t = mesh.nodes
+        hist = _History(prob.gamma, prob.u0, prob.f(0.0, prob.u0))
+        for n in range(1, t.size):
+            pred, hval, w = hist.weights(t[n])
+            x, fx, _ = solver._corrector(
+                prob.f, t[n], hval, w, pred, lo_limit, affine=prob._affine
+            )
+            hist.accept(x, fx)
+        path = solve(prob, mesh)
+        assert path.status is PathStatus.COMPLETED
+        assert np.array_equal(path.values, hist.u)
 
     def test_accept_at_cap_raises_with_last_accepted_time(self):
         hist = _History(0.5, 1.0, -1.0, cap=3)
