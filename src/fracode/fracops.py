@@ -20,12 +20,13 @@ cells each): the operators take each block's rows as matrix-vector
 products, and `solver.solve` walks the rows itself, once each, in
 order, with the first moment's product x d0 formed once per block; the
 adaptive marches (`solver._History`), whose next node is not known,
-make one call per step.  Inside a `_sharing_blocks` scope (one per
-corpus trial, whose two solves and integral run on one mesh) a mesh of
-fewer than _SOE_START nodes forms its blocks once, for every march
-over it.  `frac_integral` and the solver's marches take the Adams
-weights from one place, `_corrector_cells` and `_corrector_tip`.  On meshes of
-at least _SOE_MIN_NODES nodes all three take the far cells from node
+make one call per step.  A mesh of fewer than _SOE_START nodes keeps
+its blocks until a march over another mesh or order asks (`_HELD`),
+so marches that follow each other over one mesh (a corpus trial's two
+solves and integral) form them once.
+`frac_integral` and the solver's marches take the Adams weights from
+one place, `_corrector_cells` and `_corrector_tip`.  On meshes of at
+least _SOE_MIN_NODES nodes all three take the far cells from node
 _SOE_START on out of a sum of exponentials (`_soe`, `_FarHistory`),
 O(N K) instead of the direct O(N^2) sums: `solve` every cell behind
 the tip, one node at a time, and the operators, whose values are all
@@ -40,8 +41,6 @@ bitwise.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,55 +411,35 @@ class _FarHistory:
         self.H += right * wb
 
 
-# The direct blocks of each short mesh, keyed on (gamma, nodes), while a
-# `_sharing_blocks` scope is open in this thread or task; None outside one
-_SHARED: ContextVar[dict | None] = ContextVar("fracops_shared_blocks", default=None)
-
-
-@contextmanager
-def _sharing_blocks():
-    """Form the direct kernel blocks of each short mesh once in this scope.
-
-    Inside it, every march over a known mesh of fewer than _SOE_START
-    nodes (so with no far modes) reads the blocks of its (gamma, nodes)
-    from one read-only tuple, formed by the first march that asks: each
-    corpus trial solves one equation from two starts on one mesh, and
-    `stability_experiment` integrates on it again.  The blocks are the
-    same bits as formed one march at a time, and are dropped when the
-    scope closes, also on an exception.  Other threads and tasks do not
-    see the scope.  At most 511 nodes hold about 2.4 MB of blocks (0.7 MB
-    at the corpus's 257).
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _shared_blocks(shared: dict, gamma: float, t: np.ndarray, h: np.ndarray):
-    key = (gamma, t.tobytes())
-    blocks = shared.get(key)
-    if blocks is None:
-        blocks = tuple(_moment_blocks(gamma, t, h, 1, t.size))
-        for _, _, *arrays in blocks:
-            for a in arrays:
-                a.setflags(write=False)
-        shared[key] = blocks
-    return blocks
+# The direct blocks of the last mesh of fewer than _SOE_START nodes that
+# a march asked for, as ((gamma, nodes), read-only blocks), or None: a
+# corpus trial's two solves and its integral run on one mesh.  At most
+# 511 nodes hold about 2.4 MB of blocks (0.7 MB at the corpus's 257)
+_HELD = None
 
 
 def _known_mesh(gamma: float, t: np.ndarray, h: np.ndarray):
     # (blocks, far, stop) for a march over the known nodes t, h = np.diff(t):
     # rows 1..stop-1 are direct, the `_moment_blocks`, and far serves rows
-    # stop.. on; a mesh under _SOE_MIN_NODES nodes has far None, stop t.size.
-    # Inside `_sharing_blocks` a mesh under _SOE_START nodes shares them
-    far = _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
-    stop = t.size if far is None else _SOE_START
-    shared = _SHARED.get()
-    if shared is not None and far is None and t.size < _SOE_START:
-        return _shared_blocks(shared, gamma, t, h), far, stop
-    return _moment_blocks(gamma, t, h, 1, stop), far, stop
+    # stop.. on; a mesh under _SOE_MIN_NODES nodes has far None, stop t.size,
+    # and one under _SOE_START nodes reads its blocks from _HELD
+    global _HELD
+    if t.size >= _SOE_START:
+        far = _FarHistory(gamma, t) if t.size >= _SOE_MIN_NODES else None
+        stop = t.size if far is None else _SOE_START
+        return _moment_blocks(gamma, t, h, 1, stop), far, stop
+    key = (gamma, t.tobytes())
+    held = _HELD  # read once: another thread may replace it
+    if held is None or held[0] != key:
+        # drop the held blocks before forming the next, so that one mesh's
+        # blocks at most are alive (functools.lru_cache forms first)
+        _HELD = held = None
+        blocks = tuple(_moment_blocks(gamma, t, h, 1, t.size))
+        for _, _, *arrays in blocks:
+            for a in arrays:
+                a.setflags(write=False)
+        _HELD = held = key, blocks
+    return held[1], None, t.size
 
 
 def _known_blocks(gamma: float, t: np.ndarray, h: np.ndarray, left, right):

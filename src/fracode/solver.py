@@ -604,8 +604,9 @@ def detect_blowup(
     march's own.
 
     Raises NonBlowupError if u stays below u_max out to 100*T, and
-    ValueError for p < 1.01 where the asymptotic constants degenerate
-    or for L < 1.
+    ValueError for p < 1.01 where the asymptotic constants degenerate,
+    for L < 1, or where u stopped at u_max before Tb - t crossed a
+    decade (the message names the u_max that would).
     """
     _require_power(prob, "detect_blowup")
     A, p, gamma = prob.A, prob.p, prob.gamma
@@ -677,6 +678,16 @@ def detect_blowup(
     # the constant's error is O(eta^2): Richardson from the two levels
     c_fit += (c_fit - c_coarse) / 3.0
 
+    # u grows gamma/(p-1) decades per decade of Tb - t, so near p = 1 a
+    # march stopped at u_max can leave the fit less than the decade of
+    # Tb - t that `fit_power` needs
+    tau = tb - t_sel
+    if tau[-1] > 0.0 and math.log(tau[0] / tau[-1]) < math.log(10.0) * 0.95:
+        raise ValueError(
+            f"u_max={u_max:g} leaves the blow-up fit less than a decade of Tb - t, "
+            f"since u grows gamma/(p-1) = {gamma / (p - 1.0):g} decades per decade; "
+            f"try u_max >= u0*10^(gamma/(p-1)) = {prob.u0 * 10.0 ** (gamma / (p - 1.0)):g}"
+        )
     path = hist.path(PathStatus.BLOWUP_SUSPECTED, iters)
     free = fit_power(path, (t_sel[0], t_sel[-1]), t_b=tb)
     return BlowupReport(

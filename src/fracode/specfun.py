@@ -221,8 +221,12 @@ def _series_trusted(alpha: float, beta: float, z: float) -> bool:
     # magnitude, which bounds the roundoff left after cancellation
     # against an O(1) sum, stays below ~1e-12
     az = abs(z)
+    if az <= 1.0:
+        return True
+    if math.log(az) / alpha > _EXP_MAX:
+        return False  # az^(1/alpha) would overflow
     nstar = max(0.0, (az ** (1.0 / alpha) - beta) / alpha)
-    if az <= 1.0 or nstar < 1.0:
+    if nstar < 1.0:
         return True
     return nstar * math.log(az) - log_gamma(alpha * nstar + beta) <= _LOG_SERIES_OK
 
@@ -559,6 +563,8 @@ def _ml(alpha: float, beta: float, z: float):
     # steps of 1/8).  Past that, for alpha < 2 only the pole s = w of
     # s^(alpha-beta) / (s^alpha - z) lies on the principal sheet, so one
     # exponential term plus the algebraic tail is the whole expansion
+    if math.log(z) / alpha > _EXP_MAX:
+        return math.inf, math.inf  # w = z^(1/alpha) would overflow
     w = z ** (1.0 / alpha)
     if w <= 77.5:
         v, e, converged = _ml_series(

@@ -54,7 +54,6 @@ from fracode.expressions import (  # noqa: F401 -- the benchmark trace binds ver
 from fracode.fracops import (
     Mesh,
     SampledFn,
-    _sharing_blocks,
     caputo_l1,
     default_grading,
     frac_integral,
@@ -476,10 +475,7 @@ def corpus_reports(
     out = []
     for prob in corpus_problems(seed, trials):
         try:
-            # the trial's solves and integrals share one mesh's kernel
-            # blocks, formed once and dropped when the trial ends
-            with _sharing_blocks():
-                rep = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
+            rep = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
         except Exception as exc:
             raise RuntimeError(f"corpus trial {prob.index} failed: {exc}") from exc
         out.append((prob, rep))

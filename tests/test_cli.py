@@ -61,6 +61,14 @@ class TestMittagLefflerCommand:
         assert out == "0.427583576155807\n"
 
 
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.9"])
+    def test_z_to_the_one_over_alpha_past_the_double_range(self, cli, alpha):
+        rc, out, _ = cli("ml", "--alpha", alpha, "--z", "-1e300")
+        assert rc == 0 and 0.0 < float(out) < 1e-299
+        rc, out, _ = cli("ml", "--alpha", alpha, "--z", "1e300")
+        assert rc == 0 and out == "inf\n"
+
+
 class TestSolveCommand:
     def test_spec_row_count(self, cli, tmp_path):
         rc, out, _ = cli(
@@ -491,6 +499,12 @@ class TestBlowupCommand:
         rc, _, err = cli("blowup", "--gamma", "0.5", "--A", "-1", "--p", "2",
                          "--u0", "1")
         assert rc == 2
+
+    def test_near_linear_power_is_usage_error_naming_u_max(self, cli):
+        rc, out, err = cli("blowup", "--gamma", "0.5", "--A", "1", "--p", "1.05", "--u0", "1")
+        assert rc == 2
+        assert out == ""
+        assert "u_max=1e+08" in err and "1e+10" in err
 
     def test_threshold_at_the_start_is_usage_error(self, capfd):
         # capfd, not capsys: a fit on too few nodes fails inside LAPACK,

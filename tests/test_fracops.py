@@ -8,9 +8,12 @@ are checked against the masked reference kernel in oracles.py, to a
 rounding tolerance, at every step of several meshes and orders.
 """
 
+import gc
 import math
+import sys
 import threading
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from oracles import KERNEL_RTOL, pow_diff_masked, trapezoid_moments_masked
 
-from fracode import fracops
+from fracode import fracops, verify
 from fracode.fracops import (
     Mesh,
     SampledFn,
@@ -144,6 +147,42 @@ class TestFracIntegral:
             errs.append(abs(outer.values[-1] - want))
         assert errs[0] < 1e-4
         assert errs[0] / errs[1] > 1.5
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than double here",
+    )
+    @pytest.mark.parametrize("lam", [1.0, 20.0])
+    def test_rounding_where_the_first_moment_cancels(self, lam):
+        # the mesh and kernel r of verify.check_resolvent(lam, 0.5, n=1024):
+        # r ~ t^(-1/2) falls by six decades across thin graded cells, where
+        # the first moment x d0/(gamma (gamma+1)) - h P/(gamma+1) cancels.
+        # Against the product-trapezoid sum in long double the error read
+        # 7.04e-10 (lam 1) and 6.09e-10 (lam 20) of the forcing lam t^(-1/2)
+        gamma, n = 0.5, 1024
+        grading = min(default_grading(gamma), 26.5 / ((1.0 - gamma) * math.log(n)))
+        mesh = Mesh.graded(1.0, n, grading)
+        _, r, _ = verify._resolvent_residual(lam, gamma, mesh)
+        got = frac_integral(gamma, SampledFn(mesh, r)).values
+        ld = np.longdouble
+        g = ld(gamma)
+        t, v = mesh.nodes.astype(ld), r.astype(ld)
+        h = np.diff(t)
+        s = np.diff(v) / h
+        ref = np.zeros(t.size, dtype=ld)
+        for k in range(1, t.size):
+            y, hk = t[k] - t[1:k], h[: k - 1]
+            P = y**g
+            d0 = P * np.expm1(g * np.log1p(hk / y))
+            m1 = (t[k] - t[: k - 1]) * d0 / (g * (g + 1)) - hk * P / (g + 1)
+            tip = h[k - 1] ** g
+            ref[k] = np.sum(v[: k - 1] * d0 / g + s[: k - 1] * m1) + tip * (
+                v[k - 1] / g + s[k - 1] * h[k - 1] / (g * (g + 1))
+            )
+        ref /= ld(gamma_fn(gamma))
+        sel = mesh.nodes >= 10.0 / n
+        forcing = lam * mesh.nodes[sel] ** (gamma - 1.0)
+        assert np.max(np.abs(got[sel] - ref[sel]).astype(float) / forcing) <= 1e-9
 
     def test_gamma_out_of_range(self):
         mesh = Mesh.uniform(1.0, 2)
@@ -522,47 +561,85 @@ class TestMomentBlocks:
         thirds = [(lo, min(lo + 3, t.size)) for lo in range(1, t.size, 3)]
         assert self._check_rows(gamma, t, thirds) == list(range(1, t.size))
 
-    def test_shared_blocks_are_keyed_on_gamma_and_nodes(self):
-        # inside a share, operators of several orders on two meshes of one
-        # size give what they give one call at a time, and the held blocks
-        # are read-only
+    @staticmethod
+    def _unshared(fn, *args):
+        # fn(*args) with its blocks formed afresh: nothing held beforehand
+        fracops._HELD = None
+        return fn(*args)
+
+    def test_shared_blocks_are_keyed_on_gamma_and_nodes(self, monkeypatch):
+        # operators of several orders on two meshes of one size, taken in
+        # turn, give what they give on blocks formed afresh, and the held
+        # blocks are read-only and those of the last (order, mesh) asked
+        monkeypatch.setattr(fracops, "_HELD", None)
         meshes = (Mesh.graded(1.0, 200, 4.0), Mesh.uniform(1.0, 200))
         gammas = (0.3, 0.7)
         fns = [SampledFn(m, np.cos(3.0 * m.nodes)) for m in meshes]
-        direct = [
-            (frac_integral(g, v).values, caputo_l1(g, v, 1.0).values) for g in gammas for v in fns
-        ]
-        with fracops._sharing_blocks():
-            shared = [
-                (frac_integral(g, v).values, caputo_l1(g, v, 1.0).values)
-                for g in gammas
-                for v in fns
-            ]
-            # caputo_l1 of order g takes the kernel of order 1 - g
-            assert len(fracops._SHARED.get()) == 6
-            for blocks in fracops._SHARED.get().values():
-                for _, _, *arrays in blocks:
+        for g in gammas:
+            for v in fns:
+                fresh = self._unshared(frac_integral, g, v).values
+                assert np.array_equal(frac_integral(g, v).values, fresh)
+                fresh = self._unshared(caputo_l1, g, v, 1.0).values
+                assert np.array_equal(caputo_l1(g, v, 1.0).values, fresh)
+                # caputo_l1 of order g takes the kernel of order 1 - g
+                assert fracops._HELD[0] == (1.0 - g, v.mesh.nodes.tobytes())
+                for _, _, *arrays in fracops._HELD[1]:
                     assert not any(a.flags.writeable for a in arrays)
-        assert fracops._SHARED.get() is None
-        for (jd, ld), (js, ls) in zip(direct, shared):
-            assert np.array_equal(jd, js) and np.array_equal(ld, ls)
 
-    def test_a_share_stays_in_its_thread(self):
-        # another thread's operators neither see nor fill the scope
-        mesh = Mesh.uniform(1.0, 64)
+    def test_another_mesh_or_order_releases_the_held_blocks(self, monkeypatch):
+        # at most one mesh's blocks are alive: the next short march over
+        # other nodes or another order drops them, and a march over 512
+        # nodes or more neither reads nor replaces them
+        monkeypatch.setattr(fracops, "_HELD", None)
+        mesh = Mesh.uniform(1.0, 128)
         v = SampledFn(mesh, np.cos(mesh.nodes))
-        seen = []
-
-        def other():
-            seen.append(fracops._SHARED.get())
+        other = Mesh.graded(1.0, 128, 2.0)
+        for step in (
+            lambda: frac_integral(0.4, v),
+            lambda: frac_integral(0.5, SampledFn(other, np.cos(other.nodes))),
+        ):
             frac_integral(0.5, v)
+            held = fracops._HELD
+            probe = weakref.ref(held[1][0][2])
+            frac_integral(0.5, v)
+            assert fracops._HELD is held  # the same mesh reads them again
+            long = Mesh.uniform(1.0, fracops._SOE_START - 1)
+            frac_integral(0.5, SampledFn(long, np.cos(long.nodes)))
+            assert fracops._HELD is held
+            del held
+            step()
+            gc.collect()
+            assert probe() is None
 
-        with fracops._sharing_blocks():
-            worker = threading.Thread(target=other)
-            worker.start()
-            worker.join()
-            assert seen == [None]
-            assert fracops._SHARED.get() == {}
+    def test_threads_on_two_meshes_get_their_own_blocks(self, monkeypatch):
+        # two threads march two short meshes at once, each many times, and
+        # get the values of one march at a time, bit for bit
+        meshes = (Mesh.graded(1.0, 300, 3.0), Mesh.uniform(1.0, 301))
+        fns = [SampledFn(m, np.sin(5.0 * m.nodes) + m.nodes) for m in meshes]
+        monkeypatch.setattr(fracops, "_HELD", None)
+        want = [self._unshared(frac_integral, 0.5, v).values for v in fns]
+        bad = []
+
+        def march(i):
+            try:
+                for _ in range(40):
+                    if not np.array_equal(frac_integral(0.5, fns[i]).values, want[i]):
+                        bad.append(i)
+            except Exception as exc:  # a failed march must fail the test
+                bad.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=march, args=(i,)) for i in (0, 1)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert bad == []
 
     @pytest.mark.parametrize("gamma", [0.2, 0.77])
     def test_blocks_straddling_the_far_start(self, gamma):

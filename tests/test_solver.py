@@ -18,6 +18,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import time
 import tracemalloc
 
@@ -523,6 +524,19 @@ class TestDetectBlowup:
             abs(report.constant_fit - report.theory_constant)
             <= 0.10 * report.theory_constant
         )
+
+    @pytest.mark.parametrize("gamma,p,need", [(0.5, 1.05, "1e+10"), (0.9, 1.1, "1e+09"),
+                                              (0.2, 1.02, "1e+10")])
+    def test_near_linear_power_names_the_u_max_it_needs(self, gamma, p, need):
+        # u grows gamma/(p-1) decades per decade of Tb - t: at u_max = 1e8
+        # the fit window spans less than a decade of Tb - t
+        prob = FracProblem.power_law(gamma, 1.0, p, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"u_max=1e\+08 .* = {re.escape(need)}$"):
+            detect_blowup(prob)
+
+    def test_near_linear_power_fits_at_the_named_u_max(self):
+        report = detect_blowup(FracProblem.power_law(0.5, 1.0, 1.05, 1.0, 1.0), u_max=1e10)
+        assert abs(report.exponent_fit - report.theory_exponent) <= 0.03 * report.theory_exponent
 
     def test_bracket_fallback_keeps_the_fit(self, monkeypatch):
         # a step too long for the convex rhs: the secant meets the fold

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -183,6 +184,23 @@ class TestMittagLeffler:
             MLQuery(alpha=0.5, beta=0.0, z=1.0)
         with pytest.raises(ValueError):
             MLQuery(alpha=0.5, z=math.inf)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_past_the_double_range_of_z_to_the_one_over_alpha(self, alpha):
+        # once |z|^(1/alpha) passes the largest double, E_alpha(-|z|) is
+        # its algebraic tail -sum_k z^-k/Gamma(1 - k alpha) (the first
+        # term sets every digit; a fix read at most 2.2e-16 off) and
+        # E_alpha(|z|) saturates to inf
+        first = math.ceil(alpha * math.log10(sys.float_info.max))
+        for e in (first, (first + 300) // 2, 300):
+            z = -(10.0**e)
+            assert math.log(-z) / alpha > math.log(sys.float_info.max)
+            with mpmath.workdps(30):
+                zm = mpmath.mpf(z)
+                ref = -sum(zm**-k * mpmath.rgamma(1 - k * alpha) for k in (1, 2, 3))
+            v = mittag_leffler(MLQuery(alpha, 1.0, z))
+            assert abs(v - float(ref)) <= 1e-14 * abs(float(ref)), (alpha, z)
+            assert mittag_leffler(MLQuery(alpha, 1.0, -z)) == math.inf
 
     def test_trivial_points(self):
         assert mittag_leffler(MLQuery(0.5, 1.0, 0.0)) == pytest.approx(1.0, rel=1e-14)
@@ -566,6 +584,16 @@ class TestMittagLefflerMany:
                     assert v == ref, (alpha, beta, zi)
                 assert e == pytest.approx(ref_est, rel=1e-13), (alpha, beta, zi)
         assert lanes["cut"] >= 50 and lanes["bitwise"] >= 1000
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_lanes_past_the_double_range_of_z_to_the_one_over_alpha(self, alpha):
+        z = np.array([-1e300, -1e280, 1e300, -(10.0 ** (math.ceil(alpha * 308.3)))])
+        values, estimates = _ml_many(alpha, 1.0, z)
+        # values bit for bit; the envelope's exp is numpy's in the lanes
+        for zi, v, e in zip(z.tolist(), values, estimates):
+            ref, ref_est = _ml(alpha, 1.0, zi)
+            assert v == ref and e == pytest.approx(ref_est, rel=1e-13), zi
+        assert values[2] == math.inf and np.all(values[z < 0] > 0.0)
 
     def test_every_lane_kind_runs_on_the_grid(self, monkeypatch):
         seen = {"_ml_series_lanes": 0, "_ml_asymptotic_lanes": 0, "_ml_cut_integral": 0}

@@ -512,12 +512,13 @@ def _assert_same_report(got, want):
 
 
 class TestSharedKernelBlocks:
-    """The marches of one corpus trial read one set of kernel blocks,
-    formed once; the reports are those of the checks run one march at a
-    time, bit for bit, and nothing is held once a trial ends."""
+    """Marches that follow each other over one short mesh read one set of
+    kernel blocks, formed once; the reports are those of the checks run
+    on blocks formed afresh for every march, bit for bit."""
 
     @staticmethod
     def _count_moments(monkeypatch):
+        # counts kernel calls from nothing held
         calls = []
         moments = fracops._trapezoid_moments
 
@@ -525,6 +526,7 @@ class TestSharedKernelBlocks:
             calls.append(args)
             return moments(*args)
 
+        monkeypatch.setattr(fracops, "_HELD", None)
         monkeypatch.setattr(fracops, "_trapezoid_moments", counted)
         monkeypatch.setattr(solver, "_trapezoid_moments", counted)
         return calls
@@ -541,54 +543,72 @@ class TestSharedKernelBlocks:
         ids=lambda c: c.__name__,
     )
     @pytest.mark.parametrize("trials,n", [(6, 64), (4, 256)])
-    def test_shared_reports_match_direct_checks(self, check, trials, n):
+    def test_shared_reports_match_direct_checks(self, check, trials, n, monkeypatch):
         shared = corpus_reports(check, seed=CORPUS_SEED, trials=trials, n=n)
         assert len(shared) == trials
+        # every march forms its own blocks
+        known = fracops._known_mesh
+
+        def unshared(*args):
+            fracops._HELD = None
+            return known(*args)
+
+        monkeypatch.setattr(fracops, "_HELD", None)
+        monkeypatch.setattr(fracops, "_known_mesh", unshared)
+        monkeypatch.setattr(solver, "_known_mesh", unshared)
         for prob, rep in shared:
-            assert fracops._SHARED.get() is None
             direct = check(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=n)
             _assert_same_report(rep, direct)
 
     def test_a_trial_forms_its_blocks_once(self, monkeypatch):
-        # two solves and one frac_integral per trial: 3 sets of blocks
-        # one march at a time, 1 set shared
+        # two solves and one frac_integral per trial, on one mesh: one set
+        # of blocks per trial run by itself; the corpus run that follows
+        # starts on the last trial's mesh (trials 0 and 3 share gamma 0.3)
         per_mesh = self._blocks_per_mesh(256)
         assert per_mesh > 1
         probs = corpus_problems(CORPUS_SEED, 4)
+        assert probs[0].gamma == probs[3].gamma
         calls = self._count_moments(monkeypatch)
         for prob in probs:
             stability_experiment(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=256)
-        assert len(calls) == 12 * per_mesh
+        assert len(calls) == 4 * per_mesh
         calls.clear()
         corpus_reports(stability_experiment, seed=CORPUS_SEED, trials=4, n=256)
-        assert len(calls) == 4 * per_mesh
+        assert len(calls) == 3 * per_mesh
 
-    def test_nothing_is_held_after_the_corpus(self, monkeypatch):
-        got = corpus_reports(check_comparison, seed=CORPUS_SEED, trials=2, n=64)
-        assert fracops._SHARED.get() is None
-        prob = got[0][0]
+    def test_subsupersolution_forms_its_blocks_once(self, monkeypatch):
         calls = self._count_moments(monkeypatch)
-        # a later solve on trial 0's mesh forms its blocks again
-        solve(FracProblem.from_rhs(prob.gamma, prob.rhs, prob.u10, prob.T),
-              Mesh.graded(prob.T, 64, default_grading(prob.gamma)))
-        assert len(calls) == self._blocks_per_mesh(64)
+        check_subsupersolution("-1*u", "t^2", 0.5, 1.0)
+        assert len(calls) == self._blocks_per_mesh(256)
+
+    def test_the_last_trial_mesh_stays_held(self, monkeypatch):
+        # a later solve on the last trial's mesh reads its blocks, and one
+        # on trial 0's mesh forms them again
+        got = corpus_reports(check_comparison, seed=CORPUS_SEED, trials=2, n=64)
+        held = fracops._HELD
+        calls = self._count_moments(monkeypatch)
+        monkeypatch.setattr(fracops, "_HELD", held)  # what the corpus left
+        for (prob, _), formed in zip(reversed(got), (0, 1)):
+            calls.clear()
+            solve(FracProblem.from_rhs(prob.gamma, prob.rhs, prob.u10, prob.T),
+                  Mesh.graded(prob.T, 64, default_grading(prob.gamma)))
+            assert len(calls) == formed * self._blocks_per_mesh(64)
 
     def test_nothing_is_held_after_a_failing_trial(self, monkeypatch):
-        held = []
+        # a trial that fails while forming its blocks leaves none held:
+        # the held blocks are dropped before the next are formed
+        self._count_moments(monkeypatch)
+        prob = corpus_problems(CORPUS_SEED, 1)[0]
+        check_comparison(prob.rhs, 0.5, prob.u10, prob.u20, T=prob.T, n=64)
+        assert fracops._HELD is not None and prob.gamma != 0.5
 
-        def failing(rhs, gamma, u10, u20, T, n):
-            check_comparison(rhs, gamma, u10, u20, T=T, n=n)
-            held.append(len(fracops._SHARED.get()))
+        def failing(*args):
             raise ValueError("injected")
 
+        monkeypatch.setattr(fracops, "_trapezoid_moments", failing)
         with pytest.raises(RuntimeError, match=r"^corpus trial 0 failed: injected$"):
-            corpus_reports(failing, seed=CORPUS_SEED, trials=3, n=64)
-        assert held == [1]
-        assert fracops._SHARED.get() is None
-        calls = self._count_moments(monkeypatch)
-        prob = corpus_problems(CORPUS_SEED, 1)[0]
-        check_comparison(prob.rhs, prob.gamma, prob.u10, prob.u20, T=prob.T, n=64)
-        assert len(calls) == 2 * self._blocks_per_mesh(64)
+            corpus_reports(check_comparison, seed=CORPUS_SEED, trials=3, n=64)
+        assert fracops._HELD is None
 
     @pytest.mark.parametrize("offset,shared", [(-2, True), (-1, False), (0, False)])
     def test_only_meshes_under_the_far_start_share(self, monkeypatch, offset, shared):
